@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +36,15 @@ __all__ = ["main"]
 
 
 def _atomic_write(path: Path, writer) -> None:
-    """Write via a sibling temp file and rename into place."""
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    """Write via a uniquely named sibling temp file and rename into place, so
+    runs writing into one directory never share a temp file. The temp file
+    is removed if the writer fails."""
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only if the writer or rename failed
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -194,6 +200,8 @@ def _load_csv_dataset(path: str, target: str):
             values = [float(v) for v in row]
         except ValueError:
             raise SystemExit(f"{path}:{lineno}: non-numeric cell")
+        if not all(map(math.isfinite, values)):
+            raise SystemExit(f"{path}:{lineno}: non-finite cell")
         y.append(values[t_idx])
         X.append([v for i, v in enumerate(values) if i != t_idx])
     if len(y) < 4:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .risk import _two_member_train_weights
+
 __all__ = [
     "Dataset",
     "Member",
@@ -267,15 +269,6 @@ def conditional_risk(fit: EnsembleFit, test_data: Dataset) -> float:
     return float(np.mean(resid**2))
 
 
-def _two_member_train_weights(ell: float, x: float) -> tuple[float, float]:
-    """Coefficients (on R_1 and R_2) of the limiting two-member training
-    error, as functions of ell and the aspect-ratio quotient x = phi/phis."""
-    d = 2.0 - x
-    on_r1 = 0.5 * ((1.0 - x) + ell * ell) / d
-    on_rinf = 0.5 * (2.0 * ell * (1.0 - x) + ell * ell * x) / d
-    return on_r1 - on_rinf, 2.0 * on_rinf
-
-
 def corrected_gcv(
     fit_M: EnsembleFit,
     data: Dataset,
@@ -308,7 +301,9 @@ def corrected_gcv(
     c2 = (1.0 - (1.0 - x) ** 2) / cover
     d1_hat = ell_hat * ell_hat
     d_m_hat = plain.denominator
-    b1, b2 = _two_member_train_weights(ell_hat, x)
+    # Two-member training error on R_1 and R_2 (R_inf = 2 R_2 - R_1).
+    on_r1, on_rinf = _two_member_train_weights(ell_hat, x)
+    b1, b2 = on_r1 - on_rinf, 2.0 * on_rinf
 
     a_mat = np.array([
         [c1 * d1_hat + 1.0 - c1, 1.0],

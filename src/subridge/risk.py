@@ -20,7 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import FixedPointSolution, solve_v, tilde_c, tilde_v
+from .fixed_point import (
+    BLOCK_CELLS,
+    DivergentVarianceError,
+    FixedPointSolution,
+    _solve_block,
+    _tilde_c_values,
+    _tilde_v_values,
+    solve_v,
+    tilde_c,
+)
 from .spectra import ModelSpec, SpectralMeasure
 
 __all__ = [
@@ -78,15 +87,48 @@ def _validate_aspects(lam: float, phi: float, phis: float) -> None:
         raise ValueError("lam must be nonnegative")
 
 
-def _component(
-    vartheta: float, model: ModelSpec, sol: FixedPointSolution
-) -> tuple[float, float]:
-    """Bias and variance functionals for one (vartheta, theta) pair."""
-    vt = tilde_v(sol.lam, vartheta, sol.theta, model.H, sol=sol)
-    ct = tilde_c(sol.lam, sol.theta, model.G, sol=sol)
-    bias = model.rho2 * (1.0 + vt) * ct
-    variance = model.sigma2 * vt
-    return bias, variance
+@dataclass(frozen=True)
+class _Solved:
+    """One solved (lam, phis) pair: the fixed point (v, ell, Ahat) and the
+    bias constant c~. Every limit at that pair derives from this record."""
+
+    sol: FixedPointSolution
+    c_tilde: float
+
+
+def _solve(lam: float, phis: float, model: ModelSpec) -> _Solved:
+    sol = solve_v(lam, phis, model.H)
+    return _Solved(sol, tilde_c(lam, phis, model.G, sol=sol))
+
+
+def _bias_variance(phi, phis, M, a_hat, c_tilde, model: ModelSpec):
+    """Bias and variance of the M-member ensemble, elementwise over floats or
+    arrays. The caller checks the self component (vartheta = phis) for
+    divergence; the cross component (vartheta = phi <= phis) then converges."""
+
+    def component(vartheta):
+        vt = _tilde_v_values(vartheta, a_hat)
+        return model.rho2 * (1.0 + vt) * c_tilde, model.sigma2 * vt
+
+    b_self, v_self = component(phis)
+    if M == 1:
+        return b_self, v_self
+    b_cross, v_cross = component(phi)
+    w = 1.0 / M
+    return w * b_self + (1.0 - w) * b_cross, w * v_self + (1.0 - w) * v_cross
+
+
+def _decomposition(
+    point: _Solved, phi: float, M: float, model: ModelSpec
+) -> RiskDecomposition:
+    sol = point.sol
+    if 1.0 - sol.theta * sol.scaled_second_moment <= 0.0:
+        raise DivergentVarianceError(
+            f"vartheta = {sol.theta} at or above the interpolation threshold"
+        )
+    bias, variance = _bias_variance(
+        phi, sol.theta, M, sol.scaled_second_moment, point.c_tilde, model)
+    return RiskDecomposition(sol.lam, phi, sol.theta, M, model.sigma2, bias, variance)
 
 
 def asymptotic_risk(
@@ -106,16 +148,11 @@ def asymptotic_risk(
             lam, phi, phis, M,
             sigma2=model.sigma2, bias=model.rho2 * model.G.mean(), variance=0.0,
         )
-    sol = solve_v(lam, phis, model.H)
-    b_self, v_self = _component(phis, model, sol)
-    if M == 1:
-        bias, variance = b_self, v_self
-    else:
-        b_cross, v_cross = _component(phi, model, sol)
-        w = 1.0 / M
-        bias = w * b_self + (1.0 - w) * b_cross
-        variance = w * v_self + (1.0 - w) * v_cross
-    return RiskDecomposition(lam, phi, phis, M, model.sigma2, bias, variance)
+    return _decomposition(_solve(lam, phis, model), phi, M, model)
+
+
+def _denominator(ell: float, phi: float, phis: float) -> float:
+    return ((phis - phi) / phis + (phi / phis) * ell) ** 2
 
 
 def gcv_denominator_limit(
@@ -123,37 +160,25 @@ def gcv_denominator_limit(
 ) -> float:
     """Limit of the squared GCV denominator for the full ensemble."""
     _validate_aspects(lam, phi, phis)
-    ell = solve_v(lam, phis, H).ell
-    return ((phis - phi) / phis + (phi / phis) * ell) ** 2
+    return _denominator(solve_v(lam, phis, H).ell, phi, phis)
 
 
-def _t2_weights(ell: float, phi: float, phis: float) -> tuple[float, float]:
-    """Coefficients (on R_1 and R_inf) of the two-member training error."""
-    d = 2.0 * phis - phi
-    on_r1 = 0.5 * ((phis - phi) + ell * ell * phis) / d
-    on_rinf = 0.5 * (2.0 * ell * (phis - phi) + ell * ell * phi) / d
+def _two_member_train_weights(ell: float, x: float) -> tuple[float, float]:
+    """Coefficients (on R_1 and R_inf) of the limiting two-member training
+    error, as functions of ell and the subsample fraction x = phi/phis."""
+    d = 2.0 - x
+    on_r1 = 0.5 * ((1.0 - x) + ell * ell) / d
+    on_rinf = 0.5 * (2.0 * ell * (1.0 - x) + ell * ell * x) / d
     return on_r1, on_rinf
 
 
-def training_error_limit(
-    lam: float, phi: float, phis: float, model: ModelSpec, M: float
-) -> float:
-    """Limit of the ensemble training error over the union of subsamples.
-
-    Available in closed form for M in {1, 2, inf}; the residuals of distinct
-    members are correlated through subsample overlap, which is what couples
-    the M = 2 and M = inf expressions to both R_1 and R_inf.
-    """
-    _validate_aspects(lam, phi, phis)
-    if math.isinf(phis) or math.isinf(lam):
-        # Null predictor: training and test errors coincide.
-        return model.null_risk
-    ell = solve_v(lam, phis, model.H).ell
-    r1 = asymptotic_risk(lam, phi, phis, model, M=1).risk
+def _training_error(point: _Solved, phi: float, M: float, model: ModelSpec) -> float:
+    phis, ell = point.sol.theta, point.sol.ell
+    r1 = _decomposition(point, phi, 1, model).risk
     if M == 1:
         return ell * ell * r1
-    rinf = asymptotic_risk(lam, phi, phis, model, M=math.inf).risk
-    on_r1, on_rinf = _t2_weights(ell, phi, phis)
+    rinf = _decomposition(point, phi, math.inf, model).risk
+    on_r1, on_rinf = _two_member_train_weights(ell, phi / phis)
     t2 = on_r1 * r1 + on_rinf * rinf
     if M == 2:
         return t2
@@ -171,12 +196,32 @@ def training_error_limit(
     raise ValueError("closed form available only for M in {1, 2, inf}")
 
 
+def training_error_limit(
+    lam: float, phi: float, phis: float, model: ModelSpec, M: float
+) -> float:
+    """Limit of the ensemble training error over the union of subsamples.
+
+    Available in closed form for M in {1, 2, inf}; the residuals of distinct
+    members are correlated through subsample overlap, which is what couples
+    the M = 2 and M = inf expressions to both R_1 and R_inf.
+    """
+    _validate_aspects(lam, phi, phis)
+    if math.isinf(phis) or math.isinf(lam):
+        # Null predictor: training and test errors coincide.
+        return model.null_risk
+    return _training_error(_solve(lam, phis, model), phi, M, model)
+
+
 def gcv_limit(lam: float, phi: float, phis: float, model: ModelSpec) -> float:
     """Limit of the full-ensemble GCV statistic (training error over squared
     denominator). Coincides with the full-ensemble risk."""
-    num = training_error_limit(lam, phi, phis, model, M=math.inf)
-    den = gcv_denominator_limit(lam, phi, phis, model.H)
-    return num / den
+    _validate_aspects(lam, phi, phis)
+    point = _solve(lam, phis, model)
+    if math.isinf(phis):
+        num = model.null_risk  # null predictor
+    else:
+        num = _training_error(point, phi, math.inf, model)
+    return num / _denominator(point.sol.ell, phi, phis)
 
 
 def gcv_limit_finite_M(
@@ -197,26 +242,26 @@ def gcv_limit_finite_M(
         raise ValueError("M must be a positive integer or inf")
     if math.isinf(phis) or math.isinf(lam):
         return model.null_risk
+    point = _solve(lam, phis, model)
     x = phi / phis
     cover = 1.0 - (1.0 - x) ** M  # limiting covered fraction |union| / n
-    t = {j: training_error_limit(lam, phi, phis, model, M=j) for j in (1, 2)}
-    r = {j: asymptotic_risk(lam, phi, phis, model, M=j).risk for j in (1, 2)}
     e = {}
     for j in (1, 2):
         c_j = (1.0 - (1.0 - x) ** j) / cover
-        e[j] = c_j * t[j] + (1.0 - c_j) * r[j]
+        t_j = _training_error(point, phi, j, model)
+        r_j = _decomposition(point, phi, j, model).risk
+        e[j] = c_j * t_j + (1.0 - c_j) * r_j
     if M == 1:
         numerator = e[1]
     else:
         numerator = 2.0 * e[2] - e[1] + (2.0 / M) * (e[1] - e[2])
     u = x / cover
-    ell = solve_v(lam, phis, model.H).ell
-    denominator = (1.0 - u * (1.0 - ell)) ** 2
+    denominator = (1.0 - u * (1.0 - point.sol.ell)) ** 2
     if denominator == 0.0:
         # Only possible when ell = 0 and the union is a single subsample
         # (M = 1 or phis = phi); the ell^2 factor then cancels exactly
         # against the numerator, leaving the M-member risk.
-        return asymptotic_risk(lam, phi, phis, model, M=M).risk
+        return _decomposition(point, phi, M, model).risk
     return numerator / denominator
 
 
@@ -364,13 +409,28 @@ def risk_surface(
 
     Grid points outside the theory's domain (phis below phi, or the
     excluded ridgeless point at aspect 1, or a divergent-variance regime)
-    are returned as NaN rather than raising.
+    are returned as NaN rather than raising: exactly the cells where
+    :func:`asymptotic_risk` raises ValueError. The fixed point is solved in
+    blocks of at most BLOCK_CELLS cells.
     """
-    out = np.full((len(lam_grid), len(phis_grid)), np.nan)
-    for i, lam in enumerate(lam_grid):
-        for j, phis in enumerate(phis_grid):
-            try:
-                out[i, j] = asymptotic_risk(lam, phi, phis, model, M=M).risk
-            except ValueError:
-                continue
+    lam = np.asarray(lam_grid, dtype=float)
+    phis = np.asarray(phis_grid, dtype=float)
+    out = np.full((lam.size, phis.size), np.nan)
+    if not (phi > 0 and M >= 1):
+        return out
+    lam_cells, phis_cells = (a.ravel() for a in np.meshgrid(lam, phis, indexing="ij"))
+    risk = out.ravel()
+    valid = (phis_cells >= phi) & (lam_cells >= 0.0)
+    null = valid & (np.isinf(phis_cells) | np.isinf(lam_cells))
+    risk[null] = model.null_risk
+    cells = np.flatnonzero(
+        valid & ~null & ~((lam_cells == 0.0) & (phis_cells == 1.0)))
+    for start in range(0, cells.size, BLOCK_CELLS):
+        block = cells[start:start + BLOCK_CELLS]
+        lam_b, phis_b = lam_cells[block], phis_cells[block]
+        v, _, a_hat = _solve_block(lam_b, phis_b, model.H)
+        ok = 1.0 - phis_b * a_hat > 0.0
+        bias, variance = _bias_variance(
+            phi, phis_b[ok], M, a_hat[ok], _tilde_c_values(v[ok], model.G), model)
+        risk[block[ok]] = model.sigma2 + bias + variance
     return out

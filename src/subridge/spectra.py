@@ -9,11 +9,9 @@ weighted sum.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 __all__ = [
     "SpectralMeasure",
@@ -176,7 +174,8 @@ def ar1_covariance(rho_ar1: float, p: int) -> np.ndarray:
     """Toeplitz covariance with entries rho_ar1 ** |i - j|."""
     if not 0.0 < rho_ar1 < 1.0:
         raise ValueError("rho_ar1 must lie in (0, 1)")
-    return toeplitz(rho_ar1 ** np.arange(p))
+    lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    return (rho_ar1 ** np.arange(p))[lags]
 
 
 def ar1_model(

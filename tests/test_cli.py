@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from subridge import generate_ar1
-from subridge.cli import main
+from subridge.cli import _atomic_write, main
 
 
 def run_cli(args):
@@ -163,6 +163,47 @@ class TestTune:
                       "--out-dir", tmp_path])
         assert rc == 2
         assert "non-numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, capsys, cell):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(f"a,y\n1.0,2.0\n3.0,4.0\n{cell},3.0\n4.0,5.0\n6.0,7.0\n")
+        rc = run_cli(["tune", "--data", csv_path, "--target", "y",
+                      "--out-dir", tmp_path])
+        assert rc == 2
+        assert f"{csv_path}:4: non-finite cell" in capsys.readouterr().err
+
+
+class TestAtomicWrite:
+    def test_run_leaves_no_temp_file(self, tmp_path):
+        rc = run_cli([
+            "theory-surface", "--phi", 0.5, "--lambda", "0:0.5:2",
+            "--phis", "0.5:2:3", "--p-ref", 20, "--out-dir", tmp_path,
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "surface.csv", "surface_markers.json", "theory_surface_manifest.json"]
+
+    def test_failed_writer_removes_temp_and_keeps_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def failing(path):
+            path.write_text("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            _atomic_write(target, failing)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text() == "old\n"
+
+    def test_temp_names_are_unique(self, tmp_path):
+        seen = []
+        for _ in range(2):
+            _atomic_write(tmp_path / "out.csv",
+                          lambda p: (seen.append(p.name), p.write_text("x")))
+        assert seen[0] != seen[1]
+        assert all(name.startswith("out.csv.") for name in seen)
 
 
 class TestVerify:

@@ -13,6 +13,12 @@ from subridge import (
     tilde_c,
     tilde_v,
 )
+from subridge.fixed_point import (
+    BLOCK_CELLS,
+    RESIDUAL_TOL,
+    FixedPointConvergenceError,
+    _solve_block,
+)
 
 ISO = isotropic_model(1.0, 1.0)
 
@@ -104,3 +110,55 @@ def test_tilde_c_closed_form():
 def test_tilde_v_requires_vartheta_below_theta():
     with pytest.raises(ValueError):
         tilde_v(0.5, 3.0, 2.0, ISO.H)
+
+
+tiny_penalties = st.floats(-12.0, 1.0).map(lambda e: 10.0 ** e)
+wide_aspects = st.floats(math.log10(0.05), 6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures, tiny_penalties, wide_aspects)
+def test_residual_at_tiny_penalty_and_huge_aspect(H, lam, theta):
+    sol = solve_v(lam, theta, H)
+    assert 0.0 < sol.v < 1.0 / lam
+    lhs = 1.0 / sol.v
+    rhs = lam + theta * H.integrate(lambda r: r / (1.0 + sol.v * r))
+    assert abs(lhs - rhs) <= RESIDUAL_TOL * max(1.0, lhs)
+
+
+def test_block_matches_scalar_solves():
+    # More cells than one block, every regime at once.
+    H = SpectralMeasure(values=np.array([0.3, 1.0, 4.0]),
+                        weights=np.array([0.2, 0.5, 0.3]))
+    lam = np.tile([0.0, 1e-9, 0.2, 3.0], 100)
+    theta = np.repeat(np.geomspace(0.1, 1e4, 100), 4)
+    theta[::9] = math.inf
+    v, ell, a_hat = [], [], []
+    for start in range(0, lam.size, BLOCK_CELLS):
+        block = _solve_block(lam[start:start + BLOCK_CELLS],
+                             theta[start:start + BLOCK_CELLS], H)
+        for acc, part in zip((v, ell, a_hat), block):
+            acc.extend(part)
+    for i in range(lam.size):
+        sol = solve_v(lam[i], theta[i], H)
+        np.testing.assert_allclose(
+            [v[i], ell[i], a_hat[i]], [sol.v, sol.ell, sol.scaled_second_moment],
+            rtol=1e-13, atol=0.0)
+
+
+def test_block_limit_enforced():
+    cells = np.ones(BLOCK_CELLS + 1)
+    with pytest.raises(ValueError):
+        _solve_block(cells, cells, ISO.H)
+
+
+def test_root_beyond_float_range_raises():
+    # v ~ (1 - theta) / lam overflows for a subnormal penalty.
+    with np.errstate(all="ignore"), pytest.raises(FixedPointConvergenceError):
+        solve_v(5e-324, 0.5, ISO.H)
+
+
+def test_non_finite_penalty_rejected():
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve_v(lam, 2.0, ISO.H)

@@ -174,3 +174,82 @@ def test_risk_surface_marks_invalid_cells():
     assert np.isnan(surf[0, 2])  # excluded ridgeless boundary at aspect 1
     assert np.isfinite(surf[1, 2])
     assert np.isfinite(surf[0, 3])
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, math.inf])
+def test_risk_surface_matches_scalar_risk_cell_by_cell(M):
+    # 6 x 50 = 300 cells: more than one solver block. The grid holds
+    # phis < phi, the excluded (0, 1) cell, interpolating ridgeless cells
+    # (lam = 0, phis < 1), phis > 1 and the null limits lam, phis = inf.
+    phi = 0.3
+    lam_grid = np.array([0.0, 1e-6, 0.05, 0.7, 4.0, math.inf])
+    phis_grid = np.concatenate(([0.1, 0.2, 1.0, math.inf],
+                                np.geomspace(phi, 30.0, 46)))
+    surface = risk_surface(phi, lam_grid, phis_grid, AR1, M=M)
+    assert surface.shape == (lam_grid.size, phis_grid.size)
+    for i, lam in enumerate(lam_grid):
+        for j, phis in enumerate(phis_grid):
+            try:
+                want = asymptotic_risk(lam, phi, phis, AR1, M=M).risk
+            except ValueError:
+                assert np.isnan(surface[i, j]), (lam, phis)
+                continue
+            assert surface[i, j] == pytest.approx(want, rel=1e-12, abs=0.0), (lam, phis)
+    assert np.isnan(surface[0, 0]) and np.isnan(surface[0, 2])
+    assert np.isnan(surface).sum() == lam_grid.size * 2 + 1
+
+
+def test_risk_surface_rejects_every_cell_outside_the_domain():
+    grid = np.array([0.5, 1.0])
+    assert np.isnan(risk_surface(0.0, grid, grid, AR1)).all()
+    assert np.isnan(risk_surface(0.5, grid, grid, AR1, M=0.5)).all()
+    assert np.isnan(risk_surface(0.5, -grid, grid, AR1)).all()
+
+
+def _count_solves(monkeypatch):
+    import subridge.risk
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_v(*args)
+
+    monkeypatch.setattr(subridge.risk, "solve_v", counting)
+    return calls
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, math.inf])
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_gcv_limit_finite_M_solves_once(monkeypatch, lam, M):
+    calls = _count_solves(monkeypatch)
+    gcv_limit_finite_M(lam, 0.2, 1.7, AR1, M)
+    assert len(calls) == 1
+
+
+def test_each_limit_solves_once(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    for evaluate in (
+        lambda: asymptotic_risk(0.1, 0.2, 1.7, AR1, M=3),
+        lambda: training_error_limit(0.1, 0.2, 1.7, AR1, M=math.inf),
+        lambda: training_error_limit(0.1, 0.2, 1.7, AR1, M=2),
+        lambda: gcv_denominator_limit(0.1, 0.2, 1.7, AR1.H),
+        lambda: gcv_limit(0.1, 0.2, 1.7, AR1),
+    ):
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1
+
+
+def test_two_member_training_error_matches_aspect_form():
+    # Reference: the weights written in (phi, phis) rather than x = phi/phis.
+    rng = np.random.default_rng(5)
+    for lam, phi, phis in random_tuples(rng, 25):
+        ell = solve_v(lam, phis, AR1.H).ell
+        d = 2.0 * phis - phi
+        on_r1 = 0.5 * ((phis - phi) + ell * ell * phis) / d
+        on_rinf = 0.5 * (2.0 * ell * (phis - phi) + ell * ell * phi) / d
+        r1 = asymptotic_risk(lam, phi, phis, AR1, M=1).risk
+        rinf = asymptotic_risk(lam, phi, phis, AR1).risk
+        assert training_error_limit(lam, phi, phis, AR1, M=2) == pytest.approx(
+            on_r1 * r1 + on_rinf * rinf, rel=1e-12)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -69,6 +73,21 @@ def test_ar1_covariance_is_toeplitz_power():
     cov = ar1_covariance(0.5, 4)
     expected = np.array([[0.5 ** abs(i - j) for j in range(4)] for i in range(4)])
     np.testing.assert_allclose(cov, expected)
+
+
+@pytest.mark.parametrize("rho", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("p", [1, 2, 7, 500])
+def test_ar1_covariance_equals_scipy_toeplitz(rho, p):
+    from scipy.linalg import toeplitz
+
+    assert np.array_equal(ar1_covariance(rho, p), toeplitz(rho ** np.arange(p)))
+
+
+def test_import_is_numpy_only():
+    code = ("import sys, subridge; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_ar1_model_signal_energy():
