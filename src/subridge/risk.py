@@ -216,11 +216,10 @@ def gcv_limit(lam: float, phi: float, phis: float, model: ModelSpec) -> float:
     """Limit of the full-ensemble GCV statistic (training error over squared
     denominator). Coincides with the full-ensemble risk."""
     _validate_aspects(lam, phi, phis)
+    if math.isinf(phis) or math.isinf(lam):
+        return model.null_risk  # null predictor: its GCV limit is its risk
     point = _solve(lam, phis, model)
-    if math.isinf(phis):
-        num = model.null_risk  # null predictor
-    else:
-        num = _training_error(point, phi, math.inf, model)
+    num = _training_error(point, phi, math.inf, model)
     return num / _denominator(point.sol.ell, phi, phis)
 
 

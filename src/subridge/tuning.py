@@ -40,6 +40,8 @@ class TuneResult:
     degenerate_cells: tuple[int, ...] = field(default=())
     lambda_hat: float | None = None
     baseline: tuple[float, float] | None = None  # (lambda, gcv)
+    # The ensemble fitted at k_hat, kept so callers need not refit it.
+    fit: ens.EnsembleFit | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
         payload = {
@@ -82,20 +84,23 @@ def tune_k(
     """Select the subsample size minimizing GCV over the grid.
 
     Degenerate GCV denominators are kept in the path as +inf and flagged.
-    Ties break towards the smallest k.
+    Ties break towards the smallest k. The result keeps the fit at k_hat.
     """
     path = []
     degenerate = []
+    best = None  # (gcv, k, fit), compared as min() compares (gcv, k)
     for k in sorted(set(grid)):
         fit = ens.ensemble_fit(data, k, M, lam, seed)
         report = ens.gcv(fit, data)
         if report.degenerate:
             degenerate.append(k)
         path.append((k, report.value))
-    k_hat, gcv_hat = min(path, key=lambda kg: (kg[1], kg[0]))
+        if best is None or (report.value, k) < best[:2]:
+            best = (report.value, k, fit)
+    gcv_hat, k_hat, fit_hat = best
     return TuneResult(
         k_hat=k_hat, gcv_at_k_hat=gcv_hat, path=tuple(path),
-        lam=lam, M=M, degenerate_cells=tuple(degenerate),
+        lam=lam, M=M, degenerate_cells=tuple(degenerate), fit=fit_hat,
     )
 
 
@@ -109,37 +114,19 @@ def lambda_hat(k_hat_0: int, k_hat_lambda: int, lam: float, n: int) -> float:
     return lam * (n - k_hat_0) / (k_hat_lambda - k_hat_0)
 
 
-def tune_lambda(
-    data: ens.Dataset, lambda_grid, seed: int = 0
-) -> tuple[float, float]:
+def tune_lambda(data: ens.Dataset, lambda_grid) -> tuple[float, float]:
     """Baseline ridge tuning: single full-data fit per penalty, GCV argmin.
 
     The whole penalty path reuses one spectral decomposition of the design.
     Ties break towards the smallest penalty.
     """
-    X, y, n, p = data.X, data.y, data.n, data.p
-    primal = n >= p
-    gram = X.T @ X if primal else X @ X.T
-    e, Q = np.linalg.eigh(gram)
-    e = np.clip(e, 0.0, None)
-    rhs = X.T @ y if primal else y
-    qt_rhs = Q.T @ rhs
-    s = np.sqrt(e)
-    rank_keep = s > max(n, p) * np.finfo(float).eps * (s[-1] if s.size else 0.0)
-
+    X, y, n = data.X, data.y, data.n
+    solver = ens._RidgeSolver(X, y)
     best = None
     for lam in sorted(set(float(v) for v in lambda_grid)):
         if lam < 0:
             raise ValueError("penalties must be nonnegative")
-        if lam == 0.0:
-            inv = np.where(rank_keep, 1.0, 0.0) / np.where(rank_keep, e, 1.0)
-            z = Q @ (inv * qt_rhs)
-            df = float(np.count_nonzero(rank_keep))
-        else:
-            shift = n * lam
-            z = Q @ (qt_rhs / (e + shift))
-            df = float(np.sum(e / (e + shift)))
-        coef = z if primal else X.T @ z
+        coef, df = solver.spectral(lam)
         resid = y - X @ coef
         denom = (1.0 - df / n) ** 2
         value = (

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from subridge import ensemble as ens
 from subridge import generate_ar1
 from subridge.cli import _atomic_write, main
 
@@ -130,6 +131,28 @@ class TestTune:
         rows = list(csv.reader(open(csv_path)))
         loaded = np.array([[float(v) for v in r[:-1]] for r in rows[1:]])
         np.testing.assert_allclose(loaded, data.X, atol=1e-12)
+
+    def test_fits_each_ensemble_once(self, tmp_path, monkeypatch):
+        # The holdout prediction reuses tune_k's fit at k_hat: one ensemble
+        # per grid point plus the one-member baseline, no refit.
+        fitted = []
+        original = ens.ensemble_fit
+
+        def counted(data, k, M, lam, seed):
+            fitted.append((k, M))
+            return original(data, k, M, lam, seed)
+
+        monkeypatch.setattr(ens, "ensemble_fit", counted)
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path)
+        rc = run_cli([
+            "tune", "--data", csv_path, "--target", "target",
+            "--M", 5, "--seed", 3, "--out-dir", tmp_path,
+        ])
+        assert rc == 0
+        result = json.loads((tmp_path / "tune_result.json").read_text())
+        expected = [(k, 5) for k, _ in result["path"]] + [(result["train_rows"], 1)]
+        assert fitted == expected
 
     def test_constant_target_selects_null(self, tmp_path):
         csv_path = tmp_path / "flat.csv"

@@ -18,6 +18,7 @@ from subridge import (
     sample_subsets,
     training_error,
 )
+from subridge.ensemble import _RidgeSolver
 
 
 def make_data(rng, n, p, beta0=None, sigma=1.0):
@@ -73,6 +74,76 @@ class TestRidgeFit:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ridge_fit(np.array([[np.nan]]), np.array([1.0]), 0.1)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of numpy.linalg.<name> (the solver looks it up per call)."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def relative(a, b):
+    return np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b)
+
+
+class TestRidgeSolver:
+    # Grams of 70 and 100 rows: the substitution runs over a full and a
+    # partial block.
+    @pytest.mark.parametrize("k, p", [(70, 200), (300, 100)], ids=["dual", "primal"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3], ids=["ridgeless", "ridge"])
+    def test_direct_path_matches_spectral_path(self, monkeypatch, k, p, lam):
+        rng = np.random.default_rng(7)
+        X, y = rng.standard_normal((k, p)), rng.standard_normal(k)
+        eigh = count_calls(monkeypatch, "eigh")
+        solver = _RidgeSolver(X, y)
+        coef, df = solver.solve(lam)
+        assert eigh == []  # the direct path took it
+        coef_ref, df_ref = solver.spectral(lam)
+        assert relative(coef, coef_ref) <= 1e-10
+        assert abs(df - df_ref) <= 1e-10 * df_ref
+        if lam == 0.0:
+            assert df == min(k, p)
+
+    def test_square_ridgeless_takes_spectral_path(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X, y = rng.standard_normal((60, 60)), rng.standard_normal(60)
+        cholesky = count_calls(monkeypatch, "cholesky")
+        eigh = count_calls(monkeypatch, "eigh")
+        coef, df = _RidgeSolver(X, y).solve(0.0)
+        assert cholesky == [] and eigh == ["eigh"]
+        np.testing.assert_allclose(X @ coef, y, rtol=0, atol=1e-8)
+        assert df == 60
+
+    def test_duplicated_column_drops_to_rank(self, monkeypatch):
+        # An exactly collinear column leaves a gram eigenvalue of about
+        # eps * e_max; the rank cutoff must drop it, and the Cholesky check
+        # must send the member to the spectral path that applies the cutoff.
+        eigh = count_calls(monkeypatch, "eigh")
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((180, 59))
+            X = np.column_stack([X, X[:, 0]])
+            y = rng.standard_normal(180)
+            coef, df = _RidgeSolver(X, y).solve(0.0)
+            assert df == 59
+            assert relative(coef, np.linalg.pinv(X) @ y) <= 1e-8
+        assert len(eigh) == 200
+
+    def test_penalty_path_reuses_one_eigh(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X, y = rng.standard_normal((30, 80)), rng.standard_normal(30)
+        solver = _RidgeSolver(X, y)
+        eigh = count_calls(monkeypatch, "eigh")
+        for lam in (0.0, 0.01, 0.1, 1.0):
+            solver.spectral(lam)
+        assert eigh == ["eigh"]
 
 
 class TestSampleSubsets:

@@ -11,6 +11,7 @@ from subridge import (
     generate_ar1,
     run_experiment,
 )
+from subridge import ensemble as ens
 
 
 class TestGenerateAr1:
@@ -114,6 +115,23 @@ class TestRunExperiment:
         row = run_experiment(config).rows[0]
         assert math.isnan(row["risk_theory"])
         assert math.isfinite(row["train_error"])
+
+    def test_numerical_failure_is_recorded(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(ens, "ensemble_fit", fail)
+        rows = run_experiment(small_config(reps=1)).rows
+        assert [row["error"] for row in rows] == ["LinAlgError"] * 2
+        assert all(math.isnan(row["gcv"]) for row in rows)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a member solver")
+
+        monkeypatch.setattr(ens, "ensemble_fit", broken)
+        with pytest.raises(TypeError, match="bug in a member solver"):
+            run_experiment(small_config(reps=1))
 
     def test_aggregate_shape(self):
         agg = run_experiment(small_config()).aggregate()

@@ -93,6 +93,15 @@ def test_gcv_limit_equals_full_risk():
         )
 
 
+def test_gcv_limit_null_sentinels_give_null_risk():
+    # phis = inf and lam = inf are the null predictor, as in asymptotic_risk
+    # and gcv_limit_finite_M (the full-ensemble limit was nan at phis = inf).
+    for lam, phis in ((0.1, math.inf), (0.0, math.inf), (math.inf, 2.0)):
+        assert gcv_limit(lam, 0.5, phis, AR1) == AR1.null_risk
+        assert gcv_limit_finite_M(lam, 0.5, phis, AR1, M=math.inf) == AR1.null_risk
+        assert gcv_limit_finite_M(lam, 0.5, phis, AR1, M=3) == AR1.null_risk
+
+
 class TestFiniteMGcv:
     def test_no_subsampling_recovers_risk(self):
         # When phis = phi the GCV limit is exact at every ensemble size.

@@ -125,6 +125,17 @@ class TestTuneK:
         assert 30 in result.degenerate_cells
         assert result.k_hat != 30
 
+    def test_keeps_the_fit_at_k_hat(self):
+        rng = np.random.default_rng(38)
+        X = rng.standard_normal((80, 6))
+        data = Dataset(X, X @ rng.standard_normal(6) + rng.standard_normal(80))
+        result = tune_k(data, 0.0, [0, 20, 40, 80], M=3, seed=6)
+        assert result.k_hat > 0
+        refit = ensemble_fit(data, result.k_hat, 3, 0.0, seed=6)
+        assert result.fit.k == result.k_hat and result.fit.M == 3
+        np.testing.assert_array_equal(result.fit.coef, refit.coef)
+        assert gcv(result.fit, data).value == result.gcv_at_k_hat
+
     def test_serialization_round_trip(self, tmp_path):
         rng = np.random.default_rng(34)
         data = Dataset(rng.standard_normal((40, 4)), rng.standard_normal(40))
