@@ -26,7 +26,7 @@ def main():
     model, _, _ = ar1_model(rho_ar1=0.25, p_ref=500, sigma2=1.0)
     phi = 0.1  # limiting feature/sample aspect ratio p/n
 
-    print(f"model: AR(1) features, snr = {model.snr:.3f}, "
+    print(f"model: AR(1) features, snr = {model.rho2 / model.sigma2:.3f}, "
           f"null risk = {model.null_risk:.4f}")
 
     # Risk along the two axes of the (lambda, phis) surface.

@@ -4,19 +4,16 @@ cross-validation, Monte Carlo experiments, and GCV-based tuning."""
 __version__ = "1.0.0"
 
 from .ensemble import (
-    CorrectedGcv,
     Dataset,
     EnsembleFit,
     GcvReport,
     Member,
     UndefinedOobError,
     conditional_risk,
-    corrected_gcv,
     ensemble_fit,
     gcv,
     oob_error,
     predict,
-    ridge_fit,
     sample_subsets,
     training_error,
 )
@@ -59,10 +56,9 @@ from .tuning import TuneResult, lambda_hat, subsample_grid, tune_k, tune_lambda
 
 __all__ = [
     "__version__",
-    "CorrectedGcv", "Dataset", "EnsembleFit", "GcvReport", "Member",
-    "UndefinedOobError", "conditional_risk", "corrected_gcv", "ensemble_fit",
-    "gcv", "oob_error", "predict", "ridge_fit", "sample_subsets",
-    "training_error",
+    "Dataset", "EnsembleFit", "GcvReport", "Member", "UndefinedOobError",
+    "conditional_risk", "ensemble_fit", "gcv", "oob_error", "predict",
+    "sample_subsets", "training_error",
     "DivergentVarianceError", "ExcludedBoundaryError", "FixedPointSolution",
     "solve_v", "tilde_c", "tilde_v",
     "SimConfig", "SimResult", "generate_ar1", "run_experiment",

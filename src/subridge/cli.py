@@ -236,12 +236,10 @@ def cmd_tune(args) -> int:
     pred = ens.predict(result.fit, hold_X) + y_mu
     holdout_mse = float(np.mean((hold_y - pred) ** 2))
 
-    baseline = None
-    baseline_mse = None
+    baseline_lam = baseline_gcv = baseline_mse = None
     if not args.no_baseline:
         lam_grid = np.concatenate(([0.0], np.logspace(-4, 2, 25)))
-        baseline = tune_lambda(train, lam_grid)
-        base_fit = ens.ensemble_fit(train, train.n, 1, baseline[0], args.seed)
+        baseline_lam, baseline_gcv, base_fit = tune_lambda(train, lam_grid)
         base_pred = ens.predict(base_fit, hold_X) + y_mu
         baseline_mse = float(np.mean((hold_y - base_pred) ** 2))
 
@@ -249,8 +247,8 @@ def cmd_tune(args) -> int:
     payload = json.loads(result.to_json())
     payload.update({
         "holdout_mse": holdout_mse,
-        "baseline_lambda": baseline[0] if baseline else None,
-        "baseline_gcv": baseline[1] if baseline else None,
+        "baseline_lambda": baseline_lam,
+        "baseline_gcv": baseline_gcv,
         "baseline_holdout_mse": baseline_mse,
         "train_rows": int(train.n),
         "holdout_rows": int(n_hold),
@@ -343,6 +341,10 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 2
         raise
+    except ValueError as exc:
+        # Out-of-range numbers are rejected by the library's own checks.
+        print(f"subridge {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,29 +2,23 @@
 
 An ensemble averages M ridge (or ridgeless) fits, each computed on a uniform
 random size-k subset of the rows. The module provides the member solver, the
-subset sampler, training / out-of-bag errors of the averaged predictor, the
-GCV estimate built from per-member smoothing-matrix traces, and an
-experimental bias-corrected variant of GCV for small M.
+subset sampler, training / out-of-bag errors of the averaged predictor, and
+the GCV estimate built from per-member smoothing-matrix traces.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .risk import _two_member_train_weights
 
 __all__ = [
     "Dataset",
     "Member",
     "EnsembleFit",
     "GcvReport",
-    "CorrectedGcv",
     "UndefinedOobError",
-    "ridge_fit",
     "sample_subsets",
     "ensemble_fit",
     "training_error",
@@ -32,7 +26,6 @@ __all__ = [
     "gcv",
     "predict",
     "conditional_risk",
-    "corrected_gcv",
 ]
 
 DEGENERATE_DENOMINATOR = 1e-12
@@ -97,30 +90,10 @@ class EnsembleFit:
     def M(self) -> int:
         return len(self.members)
 
-    @property
-    def is_null(self) -> bool:
-        return self.k == 0
-
     def mean_trace(self) -> float:
         if not self.members:
             return 0.0
         return float(np.mean([m.trace_contribution for m in self.members]))
-
-    def summary(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "k": self.k,
-            "M": self.M,
-            "mean_trace_contribution": self.mean_trace(),
-            "union_size": int(self.union_indices.size),
-            "coef_norm": float(np.linalg.norm(self.coef)),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True)
-
-    def coef_to_csv(self, path) -> None:
-        np.savetxt(path, self.coef, delimiter=",", header="coef", comments="")
 
 
 @dataclass(frozen=True)
@@ -133,17 +106,6 @@ class GcvReport:
     mean_trace: float
     union_size: int
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class CorrectedGcv:
-    """Bias-corrected GCV for small ensembles (experimental)."""
-
-    value: float
-    a1: float
-    a2: float
-    fallback: bool
-    plain_gcv: float
 
 
 # Smallest Cholesky pivot ratio min(diag L)^2 / max(diag L)^2 for which a
@@ -249,19 +211,6 @@ class _RidgeSolver:
         return self._coef(z), df
 
 
-def ridge_fit(X_sub: np.ndarray, y_sub: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (X'X/k + lam I) beta = X'y/k; lam = 0 gives the min-norm
-    (ridgeless) solution via the pseudo-inverse."""
-    X_sub = np.asarray(X_sub, dtype=float)
-    y_sub = np.asarray(y_sub, dtype=float)
-    if not (np.isfinite(X_sub).all() and np.isfinite(y_sub).all()):
-        raise ValueError("non-finite entries in data")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    coef, _ = _RidgeSolver(X_sub, y_sub).solve(lam)
-    return coef
-
-
 def sample_subsets(n: int, k: int, M: int, seed: int) -> list[np.ndarray]:
     """M independent uniform size-k subsets of range(n), sorted.
 
@@ -284,8 +233,8 @@ def ensemble_fit(data: Dataset, k: int, M: int, lam: float, seed: int) -> Ensemb
 
     k = 0 returns the null fit: zero coefficients and an empty union.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam must be finite and nonnegative")
     if k == 0:
         return EnsembleFit(
             lam=lam, k=0, members=(),
@@ -344,53 +293,3 @@ def conditional_risk(fit: EnsembleFit, test_data: Dataset) -> float:
     resid = test_data.y - predict(fit, test_data.X)
     return float(np.mean(resid**2))
 
-
-def corrected_gcv(
-    fit_M: EnsembleFit,
-    data: Dataset,
-    fit_1: EnsembleFit,
-    fit_2: EnsembleFit,
-) -> CorrectedGcv:
-    """Bias-corrected GCV for small M (experimental).
-
-    Returns (a1 * training error + a2 * out-of-bag error) / denominator,
-    with weights solving a 2x2 plug-in system built so that the limit of the
-    corrected statistic is the true M-member risk. The auxiliary one- and
-    two-member fits supply out-of-bag risk estimates. A numerically singular
-    system falls back to plain GCV with the fallback flag set.
-    """
-    if fit_M.M < 2:
-        raise ValueError("correction requires M >= 2")
-    plain = gcv(fit_M, data)
-    k, M_count = fit_M.k, fit_M.M
-    x = k / data.n
-    ell_hat = 1.0 - fit_M.mean_trace() / k
-    try:
-        r1_hat = oob_error(fit_1, data)
-        r2_hat = oob_error(fit_2, data)
-        oob_m = oob_error(fit_M, data)
-    except UndefinedOobError:
-        return CorrectedGcv(plain.value, math.nan, math.nan, True, plain.value)
-
-    cover = 1.0 - (1.0 - x) ** M_count
-    c1 = x / cover
-    c2 = (1.0 - (1.0 - x) ** 2) / cover
-    d1_hat = ell_hat * ell_hat
-    d_m_hat = plain.denominator
-    # Two-member training error on R_1 and R_2 (R_inf = 2 R_2 - R_1).
-    on_r1, on_rinf = _two_member_train_weights(ell_hat, x)
-    b1, b2 = on_r1 - on_rinf, 2.0 * on_rinf
-
-    a_mat = np.array([
-        [c1 * d1_hat + 1.0 - c1, 1.0],
-        [c2 * b1 * r1_hat + (c2 * b2 + 1.0 - c2) * r2_hat, r2_hat],
-    ])
-    rhs = np.array([d_m_hat, d_m_hat * r2_hat])
-    if (
-        d_m_hat < DEGENERATE_DENOMINATOR
-        or abs(np.linalg.det(a_mat)) < 1e-12 * max(1.0, np.abs(a_mat).max() ** 2)
-    ):
-        return CorrectedGcv(plain.value, math.nan, math.nan, True, plain.value)
-    a1, a2 = np.linalg.solve(a_mat, rhs)
-    value = (a1 * training_error(fit_M, data) + a2 * oob_m) / d_m_hat
-    return CorrectedGcv(float(value), float(a1), float(a2), False, plain.value)

@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import ensemble as ens
-from .fixed_point import ExcludedBoundaryError
 from .risk import asymptotic_risk, gcv_limit_finite_M
 from .spectra import ModelSpec, ar1_model
 
@@ -182,7 +181,7 @@ def _theory_for_cell(
     try:
         risk = asymptotic_risk(lam, phi, phis, model, M=M).risk
         gcv_lim = gcv_limit_finite_M(lam, phi, phis, model, M=M)
-    except (ExcludedBoundaryError, ValueError):
+    except ValueError:
         return math.nan, math.nan
     return risk, gcv_lim
 
@@ -236,7 +235,7 @@ def run_experiment(config: SimConfig) -> SimResult:
                 fit = ens.ensemble_fit(data, k, M, lam, seed)
                 report = ens.gcv(fit, data)
                 row["gcv"] = report.value
-                row["train_error"] = ens.training_error(fit, data)
+                row["train_error"] = report.numerator
                 try:
                     row["oob_error"] = ens.oob_error(fit, data)
                 except ens.UndefinedOobError:

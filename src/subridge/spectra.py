@@ -8,7 +8,6 @@ weighted sum.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,32 +76,6 @@ class SpectralMeasure:
     def support(self) -> tuple[float, float]:
         return float(self.values.min()), float(self.values.max())
 
-    def to_csv(self, path_or_buf) -> None:
-        """Write atoms as a two-column CSV (eigenvalue, weight)."""
-        def _write(fh):
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["eigenvalue", "weight"])
-            for r, wt in zip(self.values, self.weights):
-                w.writerow([repr(float(r)), repr(float(wt))])
-
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w", newline="") as fh:
-                _write(fh)
-        else:
-            _write(path_or_buf)
-
-    @classmethod
-    def from_csv(cls, path_or_buf) -> "SpectralMeasure":
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, newline="") as fh:
-                rows = list(csv.reader(fh))
-        else:
-            rows = list(csv.reader(path_or_buf))
-        if not rows or [c.strip() for c in rows[0]] != ["eigenvalue", "weight"]:
-            raise ValueError("expected header 'eigenvalue,weight'")
-        data = np.array([[float(a), float(b)] for a, b in rows[1:]], dtype=float)
-        return cls(values=data[:, 0], weights=data[:, 1])
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -121,12 +94,6 @@ class ModelSpec:
     def null_risk(self) -> float:
         """Risk of the zero predictor: sigma^2 + rho^2 * int r dG."""
         return self.sigma2 + self.rho2 * self.G.mean()
-
-    @property
-    def snr(self) -> float:
-        if self.sigma2 == 0:
-            return np.inf
-        return self.rho2 / self.sigma2
 
 
 def empirical_spectrum(covariance: np.ndarray) -> SpectralMeasure:

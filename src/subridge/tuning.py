@@ -38,8 +38,6 @@ class TuneResult:
     lam: float
     M: int
     degenerate_cells: tuple[int, ...] = field(default=())
-    lambda_hat: float | None = None
-    baseline: tuple[float, float] | None = None  # (lambda, gcv)
     # The ensemble fitted at k_hat, kept so callers need not refit it.
     fit: ens.EnsembleFit | None = field(default=None, compare=False, repr=False)
 
@@ -51,8 +49,6 @@ class TuneResult:
             "M": self.M,
             "path": [[k, g] for k, g in self.path],
             "degenerate_cells": list(self.degenerate_cells),
-            "lambda_hat": self.lambda_hat,
-            "baseline": list(self.baseline) if self.baseline else None,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -114,18 +110,22 @@ def lambda_hat(k_hat_0: int, k_hat_lambda: int, lam: float, n: int) -> float:
     return lam * (n - k_hat_0) / (k_hat_lambda - k_hat_0)
 
 
-def tune_lambda(data: ens.Dataset, lambda_grid) -> tuple[float, float]:
+def tune_lambda(
+    data: ens.Dataset, lambda_grid
+) -> tuple[float, float, ens.EnsembleFit]:
     """Baseline ridge tuning: single full-data fit per penalty, GCV argmin.
 
-    The whole penalty path reuses one spectral decomposition of the design.
-    Ties break towards the smallest penalty.
+    Returns (lambda, gcv, fit), where fit is the one-member full-data
+    ensemble at the selected penalty. The whole penalty path reuses one
+    spectral decomposition of the design. Ties break towards the smallest
+    penalty.
     """
     X, y, n = data.X, data.y, data.n
     solver = ens._RidgeSolver(X, y)
     best = None
     for lam in sorted(set(float(v) for v in lambda_grid)):
-        if lam < 0:
-            raise ValueError("penalties must be nonnegative")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError("penalties must be finite and nonnegative")
         coef, df = solver.spectral(lam)
         resid = y - X @ coef
         denom = (1.0 - df / n) ** 2
@@ -134,5 +134,10 @@ def tune_lambda(data: ens.Dataset, lambda_grid) -> tuple[float, float]:
             else float(np.mean(resid**2)) / denom
         )
         if best is None or value < best[1]:
-            best = (lam, value)
-    return best
+            best = (lam, value, coef, df)
+    lam, value, coef, df = best
+    rows = np.arange(n)
+    member = ens.Member(indices=rows, coef=coef, trace_contribution=df)
+    fit = ens.EnsembleFit(lam=lam, k=n, members=(member,), coef=coef,
+                          union_indices=rows)
+    return lam, value, fit

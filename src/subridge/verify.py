@@ -281,8 +281,7 @@ def criterion_tuning_end_to_end():
         k_hat, _, _ = min(path, key=lambda t: (t[1], t[0]))
         selected.append(next(r for k, _, r in path if k == k_hat))
         oracle.append(min(r for _, _, r in path))
-        lam_best, _ = tune_lambda(data, lam_grid)
-        base_fit = ens.ensemble_fit(data, n, 1, lam_best, seed=rep)
+        _, _, base_fit = tune_lambda(data, lam_grid)
         baseline.append(ens.conditional_risk(base_fit, test))
     sel, ora, base = map(lambda v: float(np.mean(v)), (selected, oracle, baseline))
     ok = abs(sel - ora) <= 0.05 * ora and abs(sel - base) <= 0.05 * base

@@ -133,8 +133,8 @@ class TestTune:
         np.testing.assert_allclose(loaded, data.X, atol=1e-12)
 
     def test_fits_each_ensemble_once(self, tmp_path, monkeypatch):
-        # The holdout prediction reuses tune_k's fit at k_hat: one ensemble
-        # per grid point plus the one-member baseline, no refit.
+        # The holdout predictions reuse tune_k's fit at k_hat and
+        # tune_lambda's baseline fit: one ensemble per grid point, no refit.
         fitted = []
         original = ens.ensemble_fit
 
@@ -151,8 +151,7 @@ class TestTune:
         ])
         assert rc == 0
         result = json.loads((tmp_path / "tune_result.json").read_text())
-        expected = [(k, 5) for k, _ in result["path"]] + [(result["train_rows"], 1)]
-        assert fitted == expected
+        assert fitted == [(k, 5) for k, _ in result["path"]]
 
     def test_constant_target_selects_null(self, tmp_path):
         csv_path = tmp_path / "flat.csv"
@@ -195,6 +194,33 @@ class TestTune:
                       "--out-dir", tmp_path])
         assert rc == 2
         assert f"{csv_path}:4: non-finite cell" in capsys.readouterr().err
+
+
+SURFACE_ARGS = ["theory-surface", "--phi", 0.5, "--lambda", "0:0.5:3",
+                "--phis", "1:4:3", "--p-ref", 60]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("tune", ["--M", 0]),
+    ("tune", ["--nu", 2]),
+    ("tune", ["--lambda", -1]),
+    ("tune", ["--lambda", "nan"]),
+    ("theory-surface", ["--phi", -1]),
+    ("theory-surface", ["--p-ref", 3]),
+    ("theory-surface", ["--rho-ar1", 1.5]),
+    ("theory-surface", ["--sigma2", -1]),
+])
+def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, command, flags):
+    if command == "tune":
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path, n=60, p=5)
+        args = ["tune", "--data", csv_path, "--target", "target"]
+    else:
+        args = SURFACE_ARGS
+    rc = run_cli(args + flags + ["--out-dir", tmp_path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"subridge {command}: " in err and "Traceback" not in err
 
 
 class TestAtomicWrite:

@@ -6,15 +6,11 @@ import pytest
 from subridge import (
     Dataset,
     UndefinedOobError,
-    asymptotic_risk,
     conditional_risk,
-    corrected_gcv,
     ensemble_fit,
     gcv,
-    isotropic_model,
     oob_error,
     predict,
-    ridge_fit,
     sample_subsets,
     training_error,
 )
@@ -30,26 +26,30 @@ def make_data(rng, n, p, beta0=None, sigma=1.0):
 
 
 class TestRidgeFit:
+    """The full-data one-member ensemble is the ridge fit of (X, y)."""
+
     def test_identity_interpolation(self):
-        beta = ridge_fit(np.eye(2), np.array([1.0, 2.0]), 0.0)
+        y = np.array([1.0, 2.0])
+        beta = ensemble_fit(Dataset(np.eye(2), y), len(y), 1, 0.0, seed=0).coef
         np.testing.assert_allclose(beta, [1.0, 2.0], atol=1e-12)
 
     def test_identity_half_penalty(self):
-        beta = ridge_fit(np.eye(2), np.array([1.0, 2.0]), 0.5)
+        y = np.array([1.0, 2.0])
+        beta = ensemble_fit(Dataset(np.eye(2), y), len(y), 1, 0.5, seed=0).coef
         np.testing.assert_allclose(beta, [0.5, 1.0], atol=1e-12)
 
     def test_huge_penalty_shrinks_to_zero(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((10, 4))
         y = rng.standard_normal(10)
-        beta = ridge_fit(X, y, 1e9)
+        beta = ensemble_fit(Dataset(X, y), len(y), 1, 1e9, seed=0).coef
         assert np.linalg.norm(beta) <= 1e-6 * np.linalg.norm(X.T @ y / 10)
 
     def test_ridgeless_is_min_norm(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((5, 9))  # overparameterized
         y = rng.standard_normal(5)
-        beta = ridge_fit(X, y, 0.0)
+        beta = ensemble_fit(Dataset(X, y), len(y), 1, 0.0, seed=0).coef
         np.testing.assert_allclose(beta, np.linalg.pinv(X) @ y, atol=1e-10)
 
     def test_normal_equations_residual(self):
@@ -58,7 +58,7 @@ class TestRidgeFit:
             X = rng.standard_normal((k, p))
             y = rng.standard_normal(k)
             lam = 0.3
-            beta = ridge_fit(X, y, lam)
+            beta = ensemble_fit(Dataset(X, y), len(y), 1, lam, seed=0).coef
             resid = (X.T @ X / k + lam * np.eye(p)) @ beta - X.T @ y / k
             scale = np.linalg.norm(X.T @ y / k)
             assert np.linalg.norm(resid) <= 1e-8 * max(scale, 1.0)
@@ -67,13 +67,14 @@ class TestRidgeFit:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((30, 8))
         y = rng.standard_normal(30)
-        b0 = ridge_fit(X, y, 0.5)
-        b1 = ridge_fit(X, y, 0.5 + 1e-7)
+        b0 = ensemble_fit(Dataset(X, y), len(y), 1, 0.5, seed=0).coef
+        b1 = ensemble_fit(Dataset(X, y), len(y), 1, 0.5 + 1e-7, seed=0).coef
         assert np.linalg.norm(b0 - b1) <= 1e-4
 
     def test_rejects_non_finite(self):
+        y = np.array([1.0])
         with pytest.raises(ValueError):
-            ridge_fit(np.array([[np.nan]]), np.array([1.0]), 0.1)
+            ensemble_fit(Dataset(np.array([[np.nan]]), y), len(y), 1, 0.1, seed=0)
 
 
 def count_calls(monkeypatch, name):
@@ -179,7 +180,8 @@ class TestEnsembleFit:
         data = make_data(rng, 40, 10)
         fit = ensemble_fit(data, 20, 8, 0.3, seed=11)
         recomputed = np.mean(
-            [ridge_fit(data.X[m.indices], data.y[m.indices], 0.3)
+            [ensemble_fit(Dataset(data.X[m.indices], data.y[m.indices]),
+                          20, 1, 0.3, seed=0).coef
              for m in fit.members],
             axis=0,
         )
@@ -199,11 +201,18 @@ class TestEnsembleFit:
         for m in fit.members:
             assert 0.0 <= m.trace_contribution <= 8.0
 
+    @pytest.mark.parametrize("k", [0, 5])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_non_finite_penalty(self, k, lam):
+        data = make_data(np.random.default_rng(18), 10, 3)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ensemble_fit(data, k, 2, lam, seed=0)
+
     def test_null_fit(self):
         rng = np.random.default_rng(7)
         data = make_data(rng, 10, 3)
         fit = ensemble_fit(data, 0, 4, 0.1, seed=0)
-        assert fit.is_null and fit.union_indices.size == 0
+        assert fit.k == 0 and fit.union_indices.size == 0
         np.testing.assert_array_equal(fit.coef, np.zeros(3))
         assert training_error(fit, data) == pytest.approx(np.mean(data.y**2))
         assert oob_error(fit, data) == pytest.approx(np.mean(data.y**2))
@@ -312,44 +321,3 @@ class TestPredictAndRisk:
         # Null risk = sigma^2 + rho^2 = 2 under the isotropic model.
         assert conditional_risk(fit, test) == pytest.approx(2.0, abs=0.05)
 
-
-class TestCorrectedGcv:
-    def test_monte_carlo_recovers_two_member_risk(self):
-        # Isotropic phi = 0.5, phis = 2: plain two-member ridgeless GCV
-        # overshoots the risk, the corrected statistic does not.
-        p, n, k, reps = 200, 400, 100, 20
-        model = isotropic_model(1.0, 1.0)
-        r2 = asymptotic_risk(0.0, 0.5, 2.0, model, M=2).risk
-        beta0 = np.zeros(p)
-        beta0[0] = 1.0
-        corrected, plain = [], []
-        for rep in range(reps):
-            rng = np.random.default_rng(np.random.SeedSequence((21, rep)))
-            X = rng.standard_normal((n, p))
-            data = Dataset(X, X @ beta0 + rng.standard_normal(n))
-            seed = int(rng.integers(2**31))
-            fit2 = ensemble_fit(data, k, 2, 0.0, seed)
-            fit1 = ensemble_fit(data, k, 1, 0.0, seed)
-            result = corrected_gcv(fit2, data, fit1, fit2)
-            assert not result.fallback
-            corrected.append(result.value)
-            plain.append(result.plain_gcv)
-        mean_corr = np.mean(corrected)
-        se = np.std(corrected, ddof=1) / math.sqrt(reps)
-        assert abs(mean_corr - r2) <= 3.0 * se + 0.05 * r2
-        assert np.mean(plain) - r2 > 10.0 * se  # plain GCV is biased upward
-
-    def test_requires_multiple_members(self):
-        rng = np.random.default_rng(22)
-        data = make_data(rng, 30, 10)
-        fit1 = ensemble_fit(data, 10, 1, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            corrected_gcv(fit1, data, fit1, fit1)
-
-    def test_fallback_when_oob_missing(self):
-        rng = np.random.default_rng(23)
-        data = make_data(rng, 16, 5)
-        full = ensemble_fit(data, 16, 2, 0.2, seed=0)
-        result = corrected_gcv(full, data, full, full)
-        assert result.fallback
-        assert result.value == pytest.approx(result.plain_gcv)

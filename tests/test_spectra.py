@@ -34,15 +34,6 @@ def test_integrate_and_mean():
     assert m.integrate(lambda r: r**2) == pytest.approx(10.0)
 
 
-def test_csv_round_trip(tmp_path):
-    m = SpectralMeasure(values=np.array([1.5, 0.5]), weights=np.array([0.25, 0.75]))
-    path = tmp_path / "measure.csv"
-    m.to_csv(path)
-    back = SpectralMeasure.from_csv(path)
-    np.testing.assert_allclose(back.values, m.values)
-    np.testing.assert_allclose(back.weights, m.weights)
-
-
 def test_empirical_spectrum_matches_eigvals():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 6))

@@ -14,7 +14,6 @@ from subridge import (
     generate_ar1,
     lambda_hat,
     optimal_lambda,
-    ridge_fit,
     subsample_grid,
     tune_k,
     tune_lambda,
@@ -152,7 +151,7 @@ class TestTuneLambda:
     def test_huge_penalty_grid(self):
         rng = np.random.default_rng(35)
         data = Dataset(rng.standard_normal((50, 5)), rng.standard_normal(50))
-        lam, value = tune_lambda(data, [1e9])
+        lam, value, _ = tune_lambda(data, [1e9])
         assert lam == 1e9
         assert value == pytest.approx(np.mean(data.y**2), rel=1e-4)
 
@@ -167,7 +166,7 @@ class TestTuneLambda:
         for lam in grid:
             fit = ensemble_fit(data, n, 1, lam, seed=0)
             refit_values[lam] = gcv(fit, data).value
-        lam_best, value_best = tune_lambda(data, grid)
+        lam_best, value_best, _ = tune_lambda(data, grid)
         assert value_best == pytest.approx(refit_values[lam_best], abs=1e-10)
         assert value_best == pytest.approx(min(refit_values.values()), abs=1e-10)
 
@@ -176,13 +175,32 @@ class TestTuneLambda:
         n, p = 40, 50  # overparameterized branch
         X = rng.standard_normal((n, p))
         data = Dataset(X, rng.standard_normal(n))
-        lam_best, value = tune_lambda(data, [0.5])
-        coef = ridge_fit(X, data.y, 0.5)
+        lam_best, value, _ = tune_lambda(data, [0.5])
+        coef = ensemble_fit(Dataset(X, data.y), n, 1, 0.5, seed=0).coef
         resid = data.y - X @ coef
         e = np.linalg.eigvalsh(X @ X.T)
         df = np.sum(e / (e + n * 0.5))
         expected = np.mean(resid**2) / (1.0 - df / n) ** 2
         assert value == pytest.approx(expected, rel=1e-10)
+
+    def test_returns_the_fit_at_the_selected_penalty(self):
+        rng = np.random.default_rng(39)
+        n, p = 60, 12
+        X = rng.standard_normal((n, p))
+        data = Dataset(X, X @ rng.standard_normal(p) + rng.standard_normal(n))
+        lam_best, value, fit = tune_lambda(data, [0.0, 0.01, 0.1, 1.0])
+        assert fit.lam == lam_best and fit.k == n and fit.M == 1
+        np.testing.assert_array_equal(fit.union_indices, np.arange(n))
+        refit = ensemble_fit(data, n, 1, lam_best, seed=0)
+        np.testing.assert_allclose(fit.coef, refit.coef, rtol=1e-10)
+        assert gcv(fit, data).value == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_penalty_in_grid(self, bad):
+        rng = np.random.default_rng(40)
+        data = Dataset(rng.standard_normal((30, 4)), rng.standard_normal(30))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            tune_lambda(data, [0.1, bad, 1.0])
 
 
 def test_tuned_risk_close_to_baseline_monte_carlo():
@@ -195,7 +213,6 @@ def test_tuned_risk_close_to_baseline_monte_carlo():
     result = tune_k(data, 0.0, grid, M=25, seed=42)
     fit = ensemble_fit(data, result.k_hat, 25, 0.0, seed=42)
     risk_k = np.mean((test.y - test.X @ fit.coef) ** 2)
-    lam_best, _ = tune_lambda(data, np.logspace(-3, 1, 12))
-    base = ensemble_fit(data, n, 1, lam_best, seed=42)
+    _, _, base = tune_lambda(data, np.logspace(-3, 1, 12))
     risk_lam = np.mean((test.y - test.X @ base.coef) ** 2)
     assert abs(risk_k - risk_lam) <= 0.10 * risk_lam
