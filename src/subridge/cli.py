@@ -114,7 +114,17 @@ def cmd_theory_surface(args) -> int:
     out = _out_dir(args)
     model, _, _ = ar1_model(args.rho_ar1, p_ref=args.p_ref, sigma2=args.sigma2)
     lam_grid, phis_grid = args.lam, args.phis
+    # Everything is computed before the first output is written, so a
+    # rejected argument leaves no partial output behind.
     surface = risk_surface(args.phi, lam_grid, phis_grid, model)
+    phis_star, r_sub = optimal_subsample(0.0, args.phi, model)
+    lam_star, r_lam = optimal_lambda(args.phi, args.phi, model)
+    segment = []
+    if math.isfinite(phis_star) and phis_star > args.phi:
+        segment = [
+            {"t": pt.t, "lambda": pt.lam, "phis": pt.phis, "risk": pt.risk}
+            for pt in equivalence_path(args.phi, phis_star, model, 11)
+        ]
 
     nan_cells = int(np.isnan(surface).sum())
     if nan_cells:
@@ -135,14 +145,6 @@ def cmd_theory_surface(args) -> int:
     surface_path = out / "surface.csv"
     _atomic_write(surface_path, write_surface)
 
-    phis_star, r_sub = optimal_subsample(0.0, args.phi, model)
-    lam_star, r_lam = optimal_lambda(args.phi, args.phi, model)
-    segment = []
-    if math.isfinite(phis_star) and phis_star > args.phi:
-        segment = [
-            {"t": pt.t, "lambda": pt.lam, "phis": pt.phis, "risk": pt.risk}
-            for pt in equivalence_path(args.phi, phis_star, model, 11)
-        ]
     markers_path = out / "surface_markers.json"
     _write_text(markers_path, json.dumps({
         "phi": args.phi,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,12 @@ class UndefinedOobError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Design matrix (rows = observations) and response vector."""
+    """Design matrix (rows = observations) and response vector.
+
+    X and y are held as read-only views: the normal equations of all rows
+    are formed on first use and kept for every later fit, so the data must
+    not change.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -51,8 +57,10 @@ class Dataset:
             raise ValueError("empty dataset")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("non-finite entries in data")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "X", X.view())
+        object.__setattr__(self, "y", y.view())
+        self.X.setflags(write=False)
+        self.y.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -61,6 +69,14 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def _full_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X'X, X'y) over all rows, read-only; see _RidgeSolver."""
+        gram, rhs = self.X.T @ self.X, self.X.T @ self.y
+        gram.setflags(write=False)
+        rhs.setflags(write=False)
+        return gram, rhs
 
 
 @dataclass(frozen=True)
@@ -142,24 +158,45 @@ def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _RidgeSolver:
-    """Ridge fits of one design (X_sub, y_sub) with k rows and p columns.
+    """Ridge fits of the rows `rows` of a dataset (all rows when None): a
+    design of k rows and p columns.
 
     Solves (X'X + k lam I) beta = X'y in the smaller gram: X'X when k >= p
-    (primal), else XX' (dual, beta = X'z). `solve` answers one penalty by a
-    direct solve when a Cholesky factor shows the gram well conditioned, and
-    otherwise through the eigendecomposition; `spectral` always uses the
+    (primal), else XX' (dual, beta = X'z). A primal member that holds more
+    than half the rows (2k > n) takes its gram and rhs from the dataset's
+    full ones minus those of the n - k rows it leaves out, X'X - Xc'Xc and
+    X'y - Xc'yc, which costs (n - k) p^2 flops instead of k p^2; with k = n
+    it uses the full ones as they are. The cancellation error, about
+    eps ||X'X|| <= 2 eps ||X_S'X_S||, lies far inside the rank cutoff and
+    the pivot check below. `solve` answers one penalty by a direct solve
+    when a Cholesky factor shows the gram well conditioned, and otherwise
+    through the eigendecomposition; `spectral` always uses the
     eigendecomposition, computed on first use and kept, so a penalty path
     costs one `eigh`. Each returns (coef, df), where df is the trace of the
     smoothing matrix; at lam = 0 it is the min-norm (ridgeless) solution and
     df is the numerical rank.
     """
 
-    def __init__(self, X_sub: np.ndarray, y_sub: np.ndarray):
-        self.X = X_sub
-        self.k, self.p = X_sub.shape
+    def __init__(self, data: Dataset, rows: np.ndarray | None = None):
+        n, self.p = data.X.shape
+        self.k = n if rows is None else len(rows)
         self.primal = self.k >= self.p
-        self.gram = X_sub.T @ X_sub if self.primal else X_sub @ X_sub.T
-        self.rhs = X_sub.T @ y_sub if self.primal else y_sub
+        self.X = None  # a dual member's rows, for beta = X'z
+        if self.primal and 2 * self.k > n:
+            self.gram, self.rhs = data._full_gram
+            if self.k < n:
+                left_out = np.ones(n, dtype=bool)
+                left_out[rows] = False
+                X_out = data.X[left_out]
+                self.gram = self.gram - X_out.T @ X_out
+                self.rhs = self.rhs - X_out.T @ data.y[left_out]
+        else:
+            X = data.X if rows is None else data.X[rows]
+            y = data.y if rows is None else data.y[rows]
+            if self.primal:
+                self.gram, self.rhs = X.T @ X, X.T @ y
+            else:
+                self.X, self.gram, self.rhs = X, X @ X.T, y
         self._spectrum = None
 
     def _coef(self, z: np.ndarray) -> np.ndarray:
@@ -235,6 +272,8 @@ def ensemble_fit(data: Dataset, k: int, M: int, lam: float, seed: int) -> Ensemb
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError("lam must be finite and nonnegative")
+    if M < 1:
+        raise ValueError("M must be at least 1")
     if k == 0:
         return EnsembleFit(
             lam=lam, k=0, members=(),
@@ -243,7 +282,7 @@ def ensemble_fit(data: Dataset, k: int, M: int, lam: float, seed: int) -> Ensemb
     subsets = sample_subsets(data.n, k, M, seed)
     members = []
     for idx in subsets:
-        coef, df = _RidgeSolver(data.X[idx], data.y[idx]).solve(lam)
+        coef, df = _RidgeSolver(data, idx).solve(lam)
         members.append(Member(indices=idx, coef=coef, trace_contribution=df))
     averaged = np.mean([m.coef for m in members], axis=0)
     union = np.unique(np.concatenate(subsets))

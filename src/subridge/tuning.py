@@ -120,10 +120,13 @@ def tune_lambda(
     spectral decomposition of the design. Ties break towards the smallest
     penalty.
     """
+    penalties = sorted(set(float(v) for v in lambda_grid))
+    if not penalties:
+        raise ValueError("empty penalty grid")
     X, y, n = data.X, data.y, data.n
-    solver = ens._RidgeSolver(X, y)
+    solver = ens._RidgeSolver(data)
     best = None
-    for lam in sorted(set(float(v) for v in lambda_grid)):
+    for lam in penalties:
         if not 0.0 <= lam < math.inf:
             raise ValueError("penalties must be finite and nonnegative")
         coef, df = solver.spectral(lam)

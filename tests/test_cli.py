@@ -217,10 +217,12 @@ def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, command, flags):
         args = ["tune", "--data", csv_path, "--target", "target"]
     else:
         args = SURFACE_ARGS
-    rc = run_cli(args + flags + ["--out-dir", tmp_path])
+    out = tmp_path / "out"
+    rc = run_cli(args + flags + ["--out-dir", out])
     err = capsys.readouterr().err
     assert rc == 2
     assert f"subridge {command}: " in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 class TestAtomicWrite:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subridge import (
     Dataset,
@@ -12,7 +14,10 @@ from subridge import (
     oob_error,
     predict,
     sample_subsets,
+    subsample_grid,
     training_error,
+    tune_k,
+    tune_lambda,
 )
 from subridge.ensemble import _RidgeSolver
 
@@ -90,6 +95,20 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_full_grams(monkeypatch):
+    """Datasets whose full gram X'X is formed, one entry per formation."""
+    formed = []
+    cached = Dataset.__dict__["_full_gram"]
+    form = cached.func
+
+    def counted(data):
+        formed.append(data)
+        return form(data)
+
+    monkeypatch.setattr(cached, "func", counted)
+    return formed
+
+
 def relative(a, b):
     return np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b)
 
@@ -103,7 +122,7 @@ class TestRidgeSolver:
         rng = np.random.default_rng(7)
         X, y = rng.standard_normal((k, p)), rng.standard_normal(k)
         eigh = count_calls(monkeypatch, "eigh")
-        solver = _RidgeSolver(X, y)
+        solver = _RidgeSolver(Dataset(X, y))
         coef, df = solver.solve(lam)
         assert eigh == []  # the direct path took it
         coef_ref, df_ref = solver.spectral(lam)
@@ -117,7 +136,7 @@ class TestRidgeSolver:
         X, y = rng.standard_normal((60, 60)), rng.standard_normal(60)
         cholesky = count_calls(monkeypatch, "cholesky")
         eigh = count_calls(monkeypatch, "eigh")
-        coef, df = _RidgeSolver(X, y).solve(0.0)
+        coef, df = _RidgeSolver(Dataset(X, y)).solve(0.0)
         assert cholesky == [] and eigh == ["eigh"]
         np.testing.assert_allclose(X @ coef, y, rtol=0, atol=1e-8)
         assert df == 60
@@ -126,25 +145,79 @@ class TestRidgeSolver:
         # An exactly collinear column leaves a gram eigenvalue of about
         # eps * e_max; the rank cutoff must drop it, and the Cholesky check
         # must send the member to the spectral path that applies the cutoff.
+        # Each seed also solves the same rows as a member holding 180 of 240
+        # rows, whose gram is the full gram minus the 60 left-out rows'.
         eigh = count_calls(monkeypatch, "eigh")
         for seed in range(200):
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((180, 59))
             X = np.column_stack([X, X[:, 0]])
             y = rng.standard_normal(180)
-            coef, df = _RidgeSolver(X, y).solve(0.0)
+            coef, df = _RidgeSolver(Dataset(X, y)).solve(0.0)
             assert df == 59
             assert relative(coef, np.linalg.pinv(X) @ y) <= 1e-8
-        assert len(eigh) == 200
+            X_rest = rng.standard_normal((60, 59))
+            X_rest = np.column_stack([X_rest, X_rest[:, 0]])
+            rows = np.sort(rng.permutation(240)[:180])
+            X_all, y_all = np.empty((240, 60)), np.empty(240)
+            X_all[rows], y_all[rows] = X, y
+            left_out = np.setdiff1d(np.arange(240), rows)
+            X_all[left_out], y_all[left_out] = X_rest, rng.standard_normal(60)
+            coef, df = _RidgeSolver(Dataset(X_all, y_all), rows).solve(0.0)
+            assert df == 59
+            assert relative(coef, np.linalg.pinv(X) @ y) <= 1e-8
+        assert len(eigh) == 400
 
     def test_penalty_path_reuses_one_eigh(self, monkeypatch):
         rng = np.random.default_rng(9)
         X, y = rng.standard_normal((30, 80)), rng.standard_normal(30)
-        solver = _RidgeSolver(X, y)
+        solver = _RidgeSolver(Dataset(X, y))
         eigh = count_calls(monkeypatch, "eigh")
         for lam in (0.0, 0.01, 0.1, 1.0):
             solver.spectral(lam)
         assert eigh == ["eigh"]
+
+
+class TestComplementGram:
+    """Primal members holding more than half the rows (2k > n) take their
+    gram and rhs from the dataset's full ones minus the left-out rows'."""
+
+    @pytest.mark.parametrize("k", [61, 119, 120], ids=["half+1", "n-1", "n"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3], ids=["ridgeless", "ridge"])
+    def test_matches_directly_formed_member(self, k, lam):
+        rng = np.random.default_rng(19)
+        data = make_data(rng, 120, 40, beta0=rng.standard_normal(40))
+        rows = np.sort(rng.permutation(120)[:k])
+        X, y = data.X[rows], data.y[rows]
+        solver = _RidgeSolver(data, rows)
+        assert relative(solver.gram, X.T @ X) <= 1e-12
+        assert relative(solver.rhs, X.T @ y) <= 1e-12
+        coef, df = solver.solve(lam)
+        coef_ref, df_ref = _RidgeSolver(Dataset(X, y)).solve(lam)
+        assert relative(coef, coef_ref) <= 1e-10
+        assert abs(df - df_ref) <= 1e-10 * df_ref
+        if k == 120:  # every row: the full gram as it is
+            assert solver.gram is data._full_gram[0]
+
+    def test_full_gram_formed_once_per_dataset(self, monkeypatch):
+        formed = count_full_grams(monkeypatch)
+        rng = np.random.default_rng(20)
+        data = make_data(rng, 64, 10, beta0=rng.standard_normal(10))
+        tune_k(data, 0.0, subsample_grid(data.n), M=3, seed=1)
+        tune_lambda(data, [0.0, 0.1, 1.0])
+        assert len(formed) == 1 and formed[0] is data
+        with pytest.raises(ValueError, match="read-only"):
+            data.X[0, 0] = 1.0  # the kept gram would go stale
+
+    def test_dual_member_forms_its_own_gram(self, monkeypatch):
+        formed = count_full_grams(monkeypatch)
+        rng = np.random.default_rng(21)
+        data = make_data(rng, 30, 50)
+        fit = ensemble_fit(data, 20, 3, 0.1, seed=2)  # 2k > n, but k < p
+        assert formed == []
+        X = data.X[fit.members[0].indices]
+        np.testing.assert_array_equal(
+            _RidgeSolver(data, fit.members[0].indices).gram, X @ X.T)
 
 
 class TestSampleSubsets:
@@ -208,6 +281,11 @@ class TestEnsembleFit:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             ensemble_fit(data, k, 2, lam, seed=0)
 
+    def test_null_fit_checks_member_count(self):
+        data = make_data(np.random.default_rng(22), 10, 3)
+        with pytest.raises(ValueError, match="M must be at least 1"):
+            ensemble_fit(data, 0, 0, 0.1, seed=0)
+
     def test_null_fit(self):
         rng = np.random.default_rng(7)
         data = make_data(rng, 10, 3)
@@ -219,6 +297,25 @@ class TestEnsembleFit:
         report = gcv(fit, data)
         assert report.denominator == 1.0
         assert report.value == pytest.approx(np.mean(data.y**2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 24), p=st.integers(1, 24),
+    size=st.sampled_from(["1", "p", "n"]),
+    lam=st.just(0.0) | st.floats(1e-3, 10.0),
+    M=st.integers(1, 3), seed=st.integers(0, 2**16),
+)
+def test_member_df_and_gcv_at_boundary_sizes(n, p, size, lam, M, seed):
+    # k = 1 is always a directly formed member; k = n (and k = p when p is
+    # close to n) holds more than half the rows.
+    data = make_data(np.random.default_rng(seed), n, p)
+    k = {"1": 1, "p": min(p, n), "n": n}[size]
+    fit = ensemble_fit(data, k, M, lam, seed)
+    for member in fit.members:
+        assert 0.0 <= member.trace_contribution <= min(k, p)
+    report = gcv(fit, data)
+    assert report.degenerate or math.isfinite(report.value)
 
 
 class TestErrors:

@@ -202,6 +202,12 @@ class TestTuneLambda:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             tune_lambda(data, [0.1, bad, 1.0])
 
+    def test_rejects_empty_grid(self):
+        rng = np.random.default_rng(41)
+        data = Dataset(rng.standard_normal((30, 4)), rng.standard_normal(30))
+        with pytest.raises(ValueError, match="empty penalty grid"):
+            tune_lambda(data, [])
+
 
 def test_tuned_risk_close_to_baseline_monte_carlo():
     # Subsample tuning at lambda = 0 and ridge tuning at k = n land within a
