@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -181,20 +182,54 @@ def cmd_sim(args) -> int:
     return 0
 
 
-def _load_csv_dataset(path: str, target: str):
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc}")
+def _parse_csv(path: str, target: str):
+    """(header, table) from one numpy parse of the body into a float array,
+    or None when the file needs `_scan_csv`.
+
+    np.loadtxt reads each cell with the same string-to-double conversion as
+    float(), so the values agree bit for bit, but it skips blank lines and
+    rejects cells float() accepts (`1_000`, non-ASCII digits). The table is
+    kept only when every line gave one full row of finite values and there
+    are enough rows; any other file is left to `_scan_csv`, which reports
+    the offending line or reads what float() accepts. So is a body whose
+    first line is missing or blank, on which np.loadtxt would warn that it
+    found no data.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        first = next(fh, "")
+        if header is None or not first.strip() or target not in header:
+            return None
+        lines = 0
+
+        def body():
+            nonlocal lines
+            for line in itertools.chain((first,), fh):
+                lines += 1
+                yield line
+
+        try:
+            table = np.loadtxt(body(), delimiter=",", comments=None,
+                               quotechar='"', ndmin=2)
+        except ValueError:
+            return None
+    if (table.shape != (lines, len(header)) or lines < 4
+            or not np.isfinite(table).all()):
+        return None
+    return header, table
+
+
+def _scan_csv(path: str, target: str):
+    """(header, table) read cell by cell with float(); exits with the first
+    problem, naming its line."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise SystemExit(f"{path}: need a header row and at least one data row")
     header = rows[0]
     if target not in header:
         raise SystemExit(f"{path}: target column {target!r} not in header {header}")
-    t_idx = header.index(target)
-    feature_names = [h for i, h in enumerate(header) if i != t_idx]
-    X, y = [], []
+    table = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise SystemExit(f"{path}:{lineno}: expected {len(header)} fields")
@@ -204,11 +239,22 @@ def _load_csv_dataset(path: str, target: str):
             raise SystemExit(f"{path}:{lineno}: non-numeric cell")
         if not all(map(math.isfinite, values)):
             raise SystemExit(f"{path}:{lineno}: non-finite cell")
-        y.append(values[t_idx])
-        X.append([v for i, v in enumerate(values) if i != t_idx])
-    if len(y) < 4:
-        raise SystemExit(f"{path}: need at least 4 rows, found {len(y)}")
-    return np.array(X), np.array(y), feature_names
+        table.append(values)
+    if len(table) < 4:
+        raise SystemExit(f"{path}: need at least 4 rows, found {len(table)}")
+    return header, np.array(table, dtype=float)
+
+
+def _load_csv_dataset(path: str, target: str):
+    """(X, y, feature names) from a numeric CSV with a header row. The
+    cells go straight into one float array, about 8 bytes each."""
+    try:
+        header, table = _parse_csv(path, target) or _scan_csv(path, target)
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc}")
+    t_idx = header.index(target)
+    feature_names = [h for i, h in enumerate(header) if i != t_idx]
+    return np.delete(table, t_idx, axis=1), table[:, t_idx].copy(), feature_names
 
 
 def cmd_tune(args) -> int:

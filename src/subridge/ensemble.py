@@ -157,6 +157,20 @@ def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 by the blocked forward substitution of `_cholesky_solve`, run on
+    the identity. Block row i of L^-1 is zero right of its diagonal block,
+    so each step solves only the columns left of that edge."""
+    m, block = L.shape[0], 64
+    W = np.zeros_like(L)
+    for i in range(0, m, block):
+        j = min(i + block, m)
+        rhs = -(L[i:j, :i] @ W[:i, :j])
+        rhs[:, i:] += np.eye(j - i)
+        W[i:j, :j] = np.linalg.solve(L[i:j, i:j], rhs)
+    return W
+
+
 class _RidgeSolver:
     """Ridge fits of the rows `rows` of a dataset (all rows when None): a
     design of k rows and p columns.
@@ -222,8 +236,9 @@ class _RidgeSolver:
             return self.spectral(lam)
         if lam == 0.0:
             return self._coef(_cholesky_solve(L, self.rhs)), float(m)
-        A_inv = np.linalg.inv(A)
-        return self._coef(A_inv @ self.rhs), float(m - shift * np.trace(A_inv))
+        # A^-1 = W'W with W = L^-1, so tr(A^-1) = ||W||_F^2.
+        W = _lower_inverse(L)
+        return self._coef(W.T @ (W @ self.rhs)), float(m - shift * np.vdot(W, W))
 
     def spectral(self, lam: float):
         """(coef, df) at one penalty from the kept eigendecomposition."""
@@ -285,9 +300,11 @@ def ensemble_fit(data: Dataset, k: int, M: int, lam: float, seed: int) -> Ensemb
         coef, df = _RidgeSolver(data, idx).solve(lam)
         members.append(Member(indices=idx, coef=coef, trace_contribution=df))
     averaged = np.mean([m.coef for m in members], axis=0)
-    union = np.unique(np.concatenate(subsets))
+    in_union = np.zeros(data.n, dtype=bool)
+    for idx in subsets:
+        in_union[idx] = True
     return EnsembleFit(lam=lam, k=k, members=tuple(members),
-                       coef=averaged, union_indices=union)
+                       coef=averaged, union_indices=np.flatnonzero(in_union))
 
 
 def predict(fit: EnsembleFit, X_new: np.ndarray) -> np.ndarray:

@@ -52,6 +52,12 @@ class SimConfig:
             raise ValueError("reps must be at least 1")
         if not (self.k_grid and self.lambda_grid and self.M_list):
             raise ValueError("grids must be non-empty")
+        if min(self.k_grid) < 0:
+            raise ValueError("k_grid values must be nonnegative")
+        if min(self.M_list) < 1:
+            raise ValueError("M_list values must be at least 1")
+        if not all(0.0 <= lam < math.inf for lam in self.lambda_grid):
+            raise ValueError("lambda_grid values must be finite and nonnegative")
         if self.phi <= 0 or self.p < 1:
             raise ValueError("phi must be positive and p at least 1")
         if max(self.k_grid) > self.n:

@@ -1,12 +1,13 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from subridge import ensemble as ens
 from subridge import generate_ar1
-from subridge.cli import _atomic_write, main
+from subridge.cli import _atomic_write, _load_csv_dataset, _parse_csv, main
 
 
 def run_cli(args):
@@ -94,6 +95,22 @@ class TestSim:
         rc = run_cli(["sim", "--config", cfg, "--out-dir", tmp_path])
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "k_grid = -5,10", "M_list = 0", "lambda_grid = -1", "lambda_grid = nan",
+    ])
+    def test_value_every_cell_rejects_is_a_config_error(self, tmp_path, capsys,
+                                                         line):
+        key = line.split(" = ")[0]
+        kept = [c for c in self.CONFIG.splitlines() if not c.startswith(key)]
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        rc = run_cli(["sim", "--config", cfg, "--out-dir", tmp_path / "out"])
+        assert rc == 2
+        assert f"config error in {cfg}: {key} values must be" in (
+            capsys.readouterr().err)
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_unknown_key_reported(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
@@ -194,6 +211,100 @@ class TestTune:
                       "--out-dir", tmp_path])
         assert rc == 2
         assert f"{csv_path}:4: non-finite cell" in capsys.readouterr().err
+
+
+def float_reference(path, target):
+    """The loader's contract, cell by cell: csv records through float()."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    t = header.index(target)
+    table = [[float(v) for v in row] for row in rows]
+    return (np.array([[v for i, v in enumerate(r) if i != t] for r in table]),
+            np.array([r[t] for r in table]))
+
+
+def assert_bit_identical(actual, expected):
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+FOUR_ROWS = "1,2\n3,4\n5,6\n7,8\n"
+
+
+class TestCsvLoader:
+    @pytest.mark.parametrize("body, message", [
+        ("a,y\n1.0,2.0\n3.0,x\n4.0,5.0\n6.0,7.0\n", "{path}:3: non-numeric cell"),
+        ("a,y\n1,2\n3\n" + FOUR_ROWS, "{path}:3: expected 2 fields"),
+        ("a,y\n1,2\n3,4,5\n" + FOUR_ROWS, "{path}:3: expected 2 fields"),
+        ("a,y\n1,2\n\n" + FOUR_ROWS, "{path}:3: expected 2 fields"),
+        ("a,y\n\n", "{path}:2: expected 2 fields"),
+        ("a,y\n" + FOUR_ROWS + "\n", "{path}:6: expected 2 fields"),
+        ("a,y\n", "{path}: need a header row and at least one data row"),
+        ("", "{path}: need a header row and at least one data row"),
+        ("a,y\n1,2\n3,4\n5,6\n", "{path}: need at least 4 rows, found 3"),
+        ("a,b\n" + FOUR_ROWS,
+         "{path}: target column 'y' not in header ['a', 'b']"),
+    ], ids=["non-numeric", "short-row", "long-row", "blank-line-inside",
+            "blank-body", "blank-line-at-end", "header-only", "empty-file",
+            "three-rows", "missing-target"])
+    @pytest.mark.filterwarnings("error")
+    def test_rejected_with_line_context(self, tmp_path, capsys, body, message):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_bytes(body.encode())
+        rc = run_cli(["tune", "--data", csv_path, "--target", "y",
+                      "--out-dir", tmp_path / "out"])
+        assert rc == 2
+        assert capsys.readouterr().err == message.format(path=csv_path) + "\n"
+
+    @pytest.mark.parametrize("body", [
+        'a,y,b\n"1.5","-2","3e2"\n"4",5,"6.25"\n7,"8",9\n"10","11","12"\n',
+        "a,y,b\n 1.5 ,\t-2, 3e2\n4 , 5,6.25 \n7,8 ,9\n 10,11,12\n",
+        "a,y,b\r\n1.5,-2,3e2\r\n4,5,6.25\r\n7,8,9\r\n10,11,12\r\n",
+        "a,y,b\n1_000,-2,3e2\n4,5_0.5,6.25\n7,8,9\n10,11,12\n",
+    ], ids=["quoted", "space-padded", "crlf", "underscore"])
+    def test_accepts_what_float_accepts(self, tmp_path, body):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_bytes(body.encode())
+        X, y, names = _load_csv_dataset(str(csv_path), "y")
+        X_ref, y_ref = float_reference(csv_path, "y")
+        assert names == ["a", "b"]
+        assert_bit_identical(X, X_ref)
+        assert_bit_identical(y, y_ref)
+
+    def test_numpy_parse_is_bit_identical_to_float(self, tmp_path):
+        rng = np.random.default_rng(12)
+        scale = 10.0 ** rng.integers(-300, 300, (60, 8))
+        values = rng.standard_normal((60, 8)) * scale
+        cells = [[repr(float(v)) for v in row] for row in values]
+        cells[0][:6] = ["-0.0", "1e308", "5e-324", "2.2250738585072e-309",
+                        "0.10000000000000001", "1.7976931348623157e308"]
+        cells[1] = [format(float(v), ".17g") for v in values[1]]
+        csv_path = tmp_path / "data.csv"
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([f"x{j}" for j in range(7)] + ["y"])
+            writer.writerows(cells)
+        parsed = _parse_csv(str(csv_path), "y")
+        assert parsed is not None  # taken by the numpy parse
+        X_ref, y_ref = float_reference(csv_path, "y")
+        assert_bit_identical(parsed[1][:, :-1], X_ref)
+        assert_bit_identical(parsed[1][:, -1], y_ref)
+        X, y, _ = _load_csv_dataset(str(csv_path), "y")
+        assert_bit_identical(X, X_ref)
+        assert_bit_identical(y, y_ref)
+
+    def test_peak_memory_is_a_small_multiple_of_the_arrays(self, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path, n=2000, p=50)
+        tracemalloc.start()
+        try:
+            X, y, _ = _load_csv_dataset(str(csv_path), "target")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (2000, 50)
+        assert peak < 4 * (X.nbytes + y.nbytes)
 
 
 SURFACE_ARGS = ["theory-surface", "--phi", 0.5, "--lambda", "0:0.5:3",

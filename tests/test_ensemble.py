@@ -281,6 +281,16 @@ class TestEnsembleFit:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             ensemble_fit(data, k, 2, lam, seed=0)
 
+    @pytest.mark.parametrize("size", ["1", "p", "n"])
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_union_is_the_sorted_unique_rows(self, size, M):
+        data = make_data(np.random.default_rng(23), 30, 8)
+        k = {"1": 1, "p": data.p, "n": data.n}[size]
+        fit = ensemble_fit(data, k, M, 0.1, seed=4)
+        expected = np.unique(np.concatenate([m.indices for m in fit.members]))
+        np.testing.assert_array_equal(fit.union_indices, expected)
+        assert fit.union_indices.dtype == expected.dtype
+
     def test_null_fit_checks_member_count(self):
         data = make_data(np.random.default_rng(22), 10, 3)
         with pytest.raises(ValueError, match="M must be at least 1"):
