@@ -105,6 +105,8 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created on the command's first write so that
+    rejected input leaves none behind."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -112,7 +114,6 @@ def _out_dir(args) -> Path:
 
 def cmd_theory_surface(args) -> int:
     started = time.perf_counter()
-    out = _out_dir(args)
     model, _, _ = ar1_model(args.rho_ar1, p_ref=args.p_ref, sigma2=args.sigma2)
     lam_grid, phis_grid = args.lam, args.phis
     # Everything is computed before the first output is written, so a
@@ -143,6 +144,7 @@ def cmd_theory_surface(args) -> int:
                     writer.writerow([repr(float(lam)), repr(float(phis)),
                                      repr(float(surface[i, j]))])
 
+    out = _out_dir(args)
     surface_path = out / "surface.csv"
     _atomic_write(surface_path, write_surface)
 
@@ -166,7 +168,6 @@ def cmd_theory_surface(args) -> int:
 
 def cmd_sim(args) -> int:
     started = time.perf_counter()
-    out = _out_dir(args)
     items = _parse_config_file(args.config)
     try:
         config = SimConfig.from_mapping(items)
@@ -174,6 +175,7 @@ def cmd_sim(args) -> int:
         print(f"config error in {args.config}: {exc}", file=sys.stderr)
         return 2
     result = run_experiment(config)
+    out = _out_dir(args)
     tidy_path = out / "sim_tidy.csv"
     agg_path = out / "sim_aggregate.csv"
     _atomic_write(tidy_path, result.to_tidy_csv)
@@ -259,7 +261,6 @@ def _load_csv_dataset(path: str, target: str):
 
 def cmd_tune(args) -> int:
     started = time.perf_counter()
-    out = _out_dir(args)
     X, y, _ = _load_csv_dataset(args.data, args.target)
     n = len(y)
     rng = np.random.default_rng(args.seed)
@@ -269,15 +270,19 @@ def cmd_tune(args) -> int:
         raise SystemExit("holdout fraction leaves an empty split")
     hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
 
-    # Standardize with training-split statistics only.
-    mu = X[train_idx].mean(axis=0)
-    sd = X[train_idx].std(axis=0)
+    # Gather each split once and drop the full array before fitting; the
+    # splits are standardized in place with training-split statistics only.
+    train_X, hold_X = X[train_idx], X[hold_idx]
+    del X
+    mu = train_X.mean(axis=0)
+    sd = train_X.std(axis=0)
     sd[sd == 0] = 1.0
-    Xs = (X - mu) / sd
+    for part in (train_X, hold_X):
+        part -= mu
+        part /= sd
     y_mu = y[train_idx].mean()
-    yc = y - y_mu
-    train = ens.Dataset(Xs[train_idx], yc[train_idx])
-    hold_X, hold_y = Xs[hold_idx], y[hold_idx]
+    train = ens.Dataset(train_X, y[train_idx] - y_mu)
+    hold_y = y[hold_idx]
 
     grid = subsample_grid(train.n, args.nu)
     result = tune_k(train, args.lam, grid, args.M, args.seed)
@@ -291,6 +296,7 @@ def cmd_tune(args) -> int:
         base_pred = ens.predict(base_fit, hold_X) + y_mu
         baseline_mse = float(np.mean((hold_y - base_pred) ** 2))
 
+    out = _out_dir(args)
     result_path = out / "tune_result.json"
     payload = json.loads(result.to_json())
     payload.update({

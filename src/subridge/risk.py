@@ -10,7 +10,8 @@ The module exposes the bias/variance decomposition of the M-member ensemble
 risk, the deterministic limits of the ensemble training error and of the
 generalized cross-validation (GCV) statistic, the penalty/subsample
 equivalence contour, and one-dimensional optimizers over the penalty and the
-subsample aspect ratio.
+subsample aspect ratio. The risk surface, the optimizers and the equivalence
+segment evaluate the risk through one block evaluator, `_risk_cells`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,10 @@ __all__ = [
     "risk_surface",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# After a grid scan, the optimizers zoom in on the best point's bracket with
+# _ZOOM_POINTS cells per step until it is under _XTOL relative.
+_ZOOM_POINTS = 17
+_XTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ class ContourPoint:
 
 
 def _validate_aspects(lam: float, phi: float, phis: float) -> None:
-    if phi <= 0:
+    if not phi > 0:
         raise ValueError("phi must be positive")
     if phis < phi:
         raise ValueError("phis must be at least phi")
@@ -149,6 +153,32 @@ def asymptotic_risk(
             sigma2=model.sigma2, bias=model.rho2 * model.G.mean(), variance=0.0,
         )
     return _decomposition(_solve(lam, phis, model), phi, M, model)
+
+
+def _risk_cells(
+    phi: float, lam: np.ndarray, phis: np.ndarray, model: ModelSpec,
+    M: float = math.inf,
+) -> np.ndarray:
+    """Risk per (lam, phis) cell of two 1-d arrays, NaN exactly where
+    :func:`asymptotic_risk` raises ValueError: phis below phi, the excluded
+    ridgeless point at aspect 1, or a divergent-variance regime. The fixed
+    point is solved in blocks of at most BLOCK_CELLS cells."""
+    risk = np.full(lam.shape, np.nan)
+    if not (phi > 0 and M >= 1):
+        return risk
+    valid = (phis >= phi) & (lam >= 0.0)
+    null = valid & (np.isinf(phis) | np.isinf(lam))
+    risk[null] = model.null_risk
+    cells = np.flatnonzero(valid & ~null & ~((lam == 0.0) & (phis == 1.0)))
+    for start in range(0, cells.size, BLOCK_CELLS):
+        block = cells[start:start + BLOCK_CELLS]
+        lam_b, phis_b = lam[block], phis[block]
+        v, _, a_hat = _solve_block(lam_b, phis_b, model.H)
+        ok = 1.0 - phis_b * a_hat > 0.0
+        bias, variance = _bias_variance(
+            phi, phis_b[ok], M, a_hat[ok], _tilde_c_values(v[ok], model.G), model)
+        risk[block[ok]] = model.sigma2 + bias + variance
+    return risk
 
 
 def _denominator(ell: float, phi: float, phis: float) -> float:
@@ -280,17 +310,20 @@ def contour_lambda_for_phis(phi: float, phis_bar: float, H: SpectralMeasure) -> 
 
     The segment from (lam_bar, phis = phi) to (0, phis_bar) parameterized by
     ((1 - t) * lam_bar, phi + t * (phis_bar - phi)) has constant
-    full-ensemble risk.
+    full-ensemble risk. lam_bar = (phis_bar - phi) int r/(1 + vr) dH, and at
+    lam = 0 the fixed point gives that integral as 1/(v phis_bar).
     """
+    if not phi > 0:
+        raise ValueError("phi must be positive")
     if not phis_bar >= phi:
         raise ValueError("phis_bar must be at least phi")
-    sol = solve_v(0.0, phis_bar, H)
-    if not sol.finite:
+    if math.isinf(phis_bar):
+        return math.inf  # the null predictor
+    (v,), _, _ = _solve_block(np.zeros(1), np.array([phis_bar], dtype=float), H)
+    if math.isinf(v):
         # Interpolating members (phis_bar < 1): equivalent penalty is zero.
         return 0.0
-    v = sol.v
-    integral = float(np.sum(H.weights * H.values / (1.0 + v * H.values)))
-    return (phis_bar - phi) * integral
+    return (phis_bar - phi) / (phis_bar * v)
 
 
 def equivalence_path(
@@ -299,137 +332,86 @@ def equivalence_path(
     """Sample the equivalence segment and evaluate the full-ensemble risk at
     each point. The risk column is constant up to solver tolerance."""
     lam_bar = contour_lambda_for_phis(phi, phis_bar, model.H)
-    points = []
-    for t in np.linspace(0.0, 1.0, num):
-        lam = (1.0 - t) * lam_bar
-        phis = phi + t * (phis_bar - phi)
-        risk = asymptotic_risk(lam, phi, phis, model).risk
-        points.append(ContourPoint(float(t), float(lam), float(phis), risk))
-    return points
+    t = np.linspace(0.0, 1.0, num)
+    lam = (1.0 - t) * lam_bar
+    phis = phi + t * (phis_bar - phi)
+    risk = _risk_cells(phi, lam, phis, model)
+    return [ContourPoint(*map(float, cell)) for cell in zip(t, lam, phis, risk)]
 
 
-def _golden_section(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Locate the minimizer of a unimodal f on [a, b]."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _zoom_min(risk_at, grid: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """(argmin, min) of risk_at from its values on a sorted grid. Each step
+    evaluates one linspace of the bracket between the best point's
+    neighbours, until the bracket is under _XTOL relative."""
+    i = int(np.nanargmin(values))
+    best_x, best_r = grid[i], values[i]
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    while hi - lo > _XTOL * max(1.0, abs(lo) + abs(hi)):
+        x = np.linspace(lo, hi, _ZOOM_POINTS)
+        r = risk_at(x)
+        j = int(np.nanargmin(r))
+        if r[j] < best_r:
+            best_x, best_r = x[j], r[j]
+        lo, hi = x[max(j - 1, 0)], x[min(j + 1, x.size - 1)]
+    return float(best_x), float(best_r)
 
 
-def _minimize_on_grid(f, grid: np.ndarray) -> tuple[float, float]:
-    """Coarse scan followed by golden-section refinement between the grid
-    neighbours of the best point. Returns (argmin, min)."""
-    values = np.array([f(x) for x in grid])
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if lo == hi:
-        return float(grid[i]), float(values[i])
-    xstar = _golden_section(f, float(lo), float(hi))
-    fstar = f(xstar)
-    if fstar <= values[i]:
-        return xstar, fstar
-    return float(grid[i]), float(values[i])
-
-
-def optimal_lambda(
-    phi: float,
-    phis: float,
-    model: ModelSpec,
-    M: float = math.inf,
-    lam_grid: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Penalty minimizing the M-member ensemble risk at fixed aspects.
+def optimal_lambda(phi: float, phis: float, model: ModelSpec) -> tuple[float, float]:
+    """Penalty minimizing the full-ensemble risk at fixed aspects.
 
     Returns (lam, risk); lam may be 0 or inf (null predictor) when a
     boundary wins.
     """
+    _validate_aspects(0.0, phi, phis)
 
-    def f(lam):
-        return asymptotic_risk(lam, phi, phis, model, M=M).risk
+    def risk_at(lam):
+        return _risk_cells(phi, lam, np.full(lam.shape, float(phis)), model)
 
-    if lam_grid is None:
-        lam_grid = np.concatenate(([0.0], np.logspace(-6, 4, 81)))
-    lam_grid = np.asarray(lam_grid, dtype=float)
+    grid = np.concatenate(([0.0], np.logspace(-6, 4, 81)))
     if phis == 1.0:
-        lam_grid = lam_grid[lam_grid > 0.0]  # ridgeless excluded at aspect 1
-    best_lam, best_risk = _minimize_on_grid(f, lam_grid)
+        grid = grid[grid > 0.0]  # ridgeless excluded at aspect 1
+    best_lam, best_risk = _zoom_min(risk_at, grid, risk_at(grid))
     null = model.null_risk
     if null < best_risk:
         return math.inf, null
     return best_lam, best_risk
 
 
-def optimal_subsample(
-    lam: float,
-    phi: float,
-    model: ModelSpec,
-    M: float = math.inf,
-    phis_max: float = 1e4,
-) -> tuple[float, float]:
-    """Subsample aspect ratio minimizing the M-member ensemble risk at a
-    fixed penalty. Returns (phis, risk); phis may be inf (null predictor)."""
+def optimal_subsample(lam: float, phi: float, model: ModelSpec) -> tuple[float, float]:
+    """Subsample aspect ratio minimizing the full-ensemble risk at a fixed
+    penalty. Returns (phis, risk); phis may be inf (null predictor)."""
+    _validate_aspects(lam, phi, phi)
 
-    def f(phis):
-        return asymptotic_risk(lam, phi, phis, model, M=M).risk
+    def risk_at(phis):
+        return _risk_cells(phi, np.full(phis.shape, float(lam)), phis, model)
 
-    grid = np.geomspace(max(phi, 1e-8), phis_max, 161)
+    grid = np.geomspace(max(phi, 1e-8), 1e4, 161)
     if lam == 0.0:
         # The risk blows up at aspect 1 without a penalty; search each side.
         grid = grid[np.abs(grid - 1.0) > 1e-8]
-        candidates = [g for g in (grid[grid < 1.0], grid[grid > 1.0]) if len(g)]
+        sides = [grid < 1.0, grid > 1.0]
     else:
-        candidates = [grid]
+        sides = [np.ones(grid.size, dtype=bool)]
+    values = risk_at(grid)
     best_phis, best_risk = math.inf, model.null_risk
-    for g in candidates:
-        phis, risk = _minimize_on_grid(f, g)
-        if risk < best_risk:
-            best_phis, best_risk = phis, risk
+    for side in sides:
+        if side.any():
+            phis, risk = _zoom_min(risk_at, grid[side], values[side])
+            if risk < best_risk:
+                best_phis, best_risk = phis, risk
     return best_phis, best_risk
 
 
 def risk_surface(
-    phi: float,
-    lam_grid: np.ndarray,
-    phis_grid: np.ndarray,
-    model: ModelSpec,
+    phi: float, lam_grid: np.ndarray, phis_grid: np.ndarray, model: ModelSpec,
     M: float = math.inf,
 ) -> np.ndarray:
     """Risk on the product grid, shaped (len(lam_grid), len(phis_grid)).
 
-    Grid points outside the theory's domain (phis below phi, or the
-    excluded ridgeless point at aspect 1, or a divergent-variance regime)
-    are returned as NaN rather than raising: exactly the cells where
-    :func:`asymptotic_risk` raises ValueError. The fixed point is solved in
-    blocks of at most BLOCK_CELLS cells.
+    Grid points outside the theory's domain are NaN rather than raising,
+    as in :func:`_risk_cells`.
     """
     lam = np.asarray(lam_grid, dtype=float)
     phis = np.asarray(phis_grid, dtype=float)
-    out = np.full((lam.size, phis.size), np.nan)
-    if not (phi > 0 and M >= 1):
-        return out
     lam_cells, phis_cells = (a.ravel() for a in np.meshgrid(lam, phis, indexing="ij"))
-    risk = out.ravel()
-    valid = (phis_cells >= phi) & (lam_cells >= 0.0)
-    null = valid & (np.isinf(phis_cells) | np.isinf(lam_cells))
-    risk[null] = model.null_risk
-    cells = np.flatnonzero(
-        valid & ~null & ~((lam_cells == 0.0) & (phis_cells == 1.0)))
-    for start in range(0, cells.size, BLOCK_CELLS):
-        block = cells[start:start + BLOCK_CELLS]
-        lam_b, phis_b = lam_cells[block], phis_cells[block]
-        v, _, a_hat = _solve_block(lam_b, phis_b, model.H)
-        ok = 1.0 - phis_b * a_hat > 0.0
-        bias, variance = _bias_variance(
-            phi, phis_b[ok], M, a_hat[ok], _tilde_c_values(v[ok], model.G), model)
-        risk[block[ok]] = model.sigma2 + bias + variance
-    return out
+    return _risk_cells(phi, lam_cells, phis_cells, model, M).reshape(lam.size, phis.size)

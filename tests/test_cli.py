@@ -110,7 +110,7 @@ class TestSim:
         assert f"config error in {cfg}: {key} values must be" in (
             capsys.readouterr().err)
         out = tmp_path / "out"
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_unknown_key_reported(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
@@ -256,6 +256,7 @@ class TestCsvLoader:
                       "--out-dir", tmp_path / "out"])
         assert rc == 2
         assert capsys.readouterr().err == message.format(path=csv_path) + "\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("body", [
         'a,y,b\n"1.5","-2","3e2"\n"4",5,"6.25"\n7,"8",9\n"10","11","12"\n',
@@ -333,7 +334,7 @@ def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, command, flags):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"subridge {command}: " in err and "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 class TestAtomicWrite:

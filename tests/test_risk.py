@@ -143,6 +143,9 @@ class TestContour:
         assert max(risks) - min(risks) < 1e-10
         assert pts[0].phis == pytest.approx(0.3)
         assert pts[-1].lam == 0.0
+        for p in pts:
+            want = asymptotic_risk(p.lam, 0.3, p.phis, AR1).risk
+            assert p.risk == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_interpolating_target_gives_zero_penalty(self):
         assert contour_lambda_for_phis(0.2, 0.8, AR1.H) == 0.0
@@ -173,6 +176,50 @@ class TestOptimizers:
         noise = isotropic_model(rho2=0.0, sigma2=1.0)
         lam_star, r_star = optimal_lambda(0.5, 0.5, noise)
         assert math.isinf(lam_star) and r_star == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("phi", [0.1, 0.5, 2.0])
+    def test_optimal_lambda_is_the_contour_penalty_at_optimal_subsample(self, phi):
+        # The optimal ridge penalty and the optimal ridgeless subsample lie
+        # on one equivalence segment.
+        phis_star, r_sub = optimal_subsample(0.0, phi, AR1)
+        lam_star, r_lam = optimal_lambda(phi, phi, AR1)
+        assert r_lam == pytest.approx(r_sub, rel=1e-12)
+        assert contour_lambda_for_phis(phi, phis_star, AR1.H) == pytest.approx(
+            lam_star, rel=1e-6)
+
+    @pytest.mark.parametrize("evaluate, message", [
+        (lambda: optimal_subsample(0.0, -1.0, AR1), "phi must be positive"),
+        (lambda: optimal_subsample(0.0, math.nan, AR1), "phi must be positive"),
+        (lambda: optimal_lambda(-1.0, 0.5, AR1), "phi must be positive"),
+        (lambda: optimal_lambda(0.5, 0.2, AR1), "phis must be at least phi"),
+        (lambda: optimal_subsample(-0.1, 0.5, AR1), "lam must be nonnegative"),
+        (lambda: equivalence_path(-1.0, 3.0, AR1), "phi must be positive"),
+        (lambda: contour_lambda_for_phis(-1.0, 3.0, AR1.H), "phi must be positive"),
+        (lambda: equivalence_path(0.5, 0.2, AR1), "phis_bar must be at least phi"),
+    ], ids=["subsample-negative-phi", "subsample-nan-phi", "lambda-negative-phi",
+            "lambda-phis-below-phi", "subsample-negative-lam", "path-negative-phi",
+            "contour-negative-phi", "path-phis-below-phi"])
+    def test_reject_aspects_outside_the_domain(self, evaluate, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate()
+
+
+def test_optimizers_and_path_make_no_scalar_solves(monkeypatch):
+    import subridge.fixed_point
+    import subridge.risk
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_v(*args)
+
+    monkeypatch.setattr(subridge.fixed_point, "solve_v", counting)
+    monkeypatch.setattr(subridge.risk, "solve_v", counting)
+    optimal_subsample(0.0, 0.3, AR1)
+    optimal_lambda(0.3, 0.3, AR1)
+    equivalence_path(0.3, 3.0, AR1)
+    assert calls == []
 
 
 def test_risk_surface_marks_invalid_cells():
