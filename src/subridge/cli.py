@@ -6,9 +6,11 @@ Subcommands:
   tune            GCV subsample tuning on a CSV dataset, with ridge baseline
   verify          run the built-in verification suite
 
-Every command writes a JSON run manifest next to its outputs; files are
-written atomically (temp + rename) and CSVs use period decimals and LF line
-endings regardless of locale.
+Every command writes a JSON run manifest next to its outputs. This module
+writes every output file, atomically (temp + rename), through two writers:
+`_write_csv` (a header row, LF line endings, floats as `repr` so they parse
+back exactly, `nan`/`inf` spelled so) and `_write_json` (indent 2, sorted
+keys, trailing newline). The library modules return data only.
 """
 
 from __future__ import annotations
@@ -48,7 +50,34 @@ def _atomic_write(path: Path, writer) -> None:
         tmp.unlink(missing_ok=True)  # left only if the writer or rename failed
 
 
-def _write_text(path: Path, text: str) -> None:
+TIDY_COLUMNS = [
+    "rep", "k", "lambda", "M", "phis",
+    "gcv", "train_error", "oob_error", "test_risk",
+    "risk_theory", "gcv_theory", "error",
+]
+AGG_COLUMNS = [
+    "k", "lambda", "M", "phis",
+    "gcv_mean", "gcv_stderr", "test_risk_mean", "test_risk_stderr",
+    "oob_mean", "oob_stderr", "risk_theory", "gcv_theory", "n_ok",
+]
+
+
+def _write_csv(path: Path, columns, rows) -> None:
+    """A header row, then one row per sequence of cells: a float as
+    `repr(float(v))`, anything else as `str(v)`."""
+    def write(tmp):
+        with open(tmp, "w", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(
+                [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+                for row in rows
+            )
+    _atomic_write(path, write)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _atomic_write(path, lambda p: p.write_text(text, newline="\n"))
 
 
@@ -61,22 +90,20 @@ def _manifest(out_dir: Path, command: str, config: dict, seed, outputs, started)
         "outputs": [str(p) for p in outputs],
         "wall_clock_seconds": round(time.perf_counter() - started, 3),
     }
-    path = out_dir / f"{command.replace('-', '_')}_manifest.json"
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    _write_json(out_dir / f"{command.replace('-', '_')}_manifest.json", payload)
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Parse `lo:hi:count` (inclusive linear grid) or a single number."""
+    """Parse `lo:hi:count` (inclusive linear grid with finite ends) or a
+    single number, which may be `inf`; NaN is rejected either way."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
+        if len(parts) == 1 and not math.isnan(value := float(parts[0])):
+            return np.array([value])
         if len(parts) == 3:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1 or hi < lo:
-                raise ValueError
-            return np.linspace(lo, hi, count)
+            if count >= 1 and -math.inf < lo <= hi < math.inf:
+                return np.linspace(lo, hi, count)
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
@@ -135,26 +162,19 @@ def cmd_theory_surface(args) -> int:
             "written as nan", file=sys.stderr,
         )
 
-    def write_surface(path):
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["lambda", "phis", "risk"])
-            for i, lam in enumerate(lam_grid):
-                for j, phis in enumerate(phis_grid):
-                    writer.writerow([repr(float(lam)), repr(float(phis)),
-                                     repr(float(surface[i, j]))])
-
     out = _out_dir(args)
     surface_path = out / "surface.csv"
-    _atomic_write(surface_path, write_surface)
-
+    _write_csv(surface_path, ["lambda", "phis", "risk"], (
+        (lam, phis, surface[i, j])
+        for i, lam in enumerate(lam_grid) for j, phis in enumerate(phis_grid)
+    ))
     markers_path = out / "surface_markers.json"
-    _write_text(markers_path, json.dumps({
+    _write_json(markers_path, {
         "phi": args.phi,
         "lambda_star": lam_star, "risk_at_lambda_star": r_lam,
         "phis_star": phis_star, "risk_at_phis_star": r_sub,
         "equivalence_segment": segment,
-    }, indent=2, sort_keys=True) + "\n")
+    })
 
     config = {
         "phi": args.phi, "rho_ar1": args.rho_ar1, "sigma2": args.sigma2,
@@ -178,8 +198,10 @@ def cmd_sim(args) -> int:
     out = _out_dir(args)
     tidy_path = out / "sim_tidy.csv"
     agg_path = out / "sim_aggregate.csv"
-    _atomic_write(tidy_path, result.to_tidy_csv)
-    _atomic_write(agg_path, result.to_aggregate_csv)
+    _write_csv(tidy_path, TIDY_COLUMNS,
+               ([row[c] for c in TIDY_COLUMNS] for row in result.rows))
+    _write_csv(agg_path, AGG_COLUMNS,
+               ([row[c] for c in AGG_COLUMNS] for row in result.aggregate()))
     _manifest(out, "sim", items, config.master_seed, [tidy_path, agg_path], started)
     return 0
 
@@ -261,6 +283,8 @@ def _load_csv_dataset(path: str, target: str):
 
 def cmd_tune(args) -> int:
     started = time.perf_counter()
+    if not 0 < args.holdout < 1:
+        raise ValueError("holdout must lie in (0, 1)")
     X, y, _ = _load_csv_dataset(args.data, args.target)
     n = len(y)
     rng = np.random.default_rng(args.seed)
@@ -298,8 +322,13 @@ def cmd_tune(args) -> int:
 
     out = _out_dir(args)
     result_path = out / "tune_result.json"
-    payload = json.loads(result.to_json())
-    payload.update({
+    _write_json(result_path, {
+        "k_hat": result.k_hat,
+        "gcv_at_k_hat": result.gcv_at_k_hat,
+        "lambda": result.lam,
+        "M": result.M,
+        "path": [list(point) for point in result.path],
+        "degenerate_cells": list(result.degenerate_cells),
         "holdout_mse": holdout_mse,
         "baseline_lambda": baseline_lam,
         "baseline_gcv": baseline_gcv,
@@ -307,9 +336,8 @@ def cmd_tune(args) -> int:
         "train_rows": int(train.n),
         "holdout_rows": int(n_hold),
     })
-    _write_text(result_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     path_path = out / "tune_path.csv"
-    _atomic_write(path_path, result.path_to_csv)
+    _write_csv(path_path, ["k", "gcv"], result.path)
     config = {
         "data": args.data, "target": args.target, "lambda": args.lam,
         "M": args.M, "nu": args.nu, "holdout": args.holdout,

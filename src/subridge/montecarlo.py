@@ -8,7 +8,6 @@ deterministic given the configuration, including the master seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -20,18 +19,6 @@ from .risk import asymptotic_risk, gcv_limit_finite_M
 from .spectra import ModelSpec, ar1_model
 
 __all__ = ["SimConfig", "SimResult", "generate_ar1", "run_experiment"]
-
-TIDY_COLUMNS = [
-    "rep", "k", "lambda", "M", "phis",
-    "gcv", "train_error", "oob_error", "test_risk",
-    "risk_theory", "gcv_theory", "error",
-]
-AGG_COLUMNS = [
-    "k", "lambda", "M", "phis",
-    "gcv_mean", "gcv_stderr", "test_risk_mean", "test_risk_stderr",
-    "oob_mean", "oob_stderr", "risk_theory", "gcv_theory", "n_ok",
-]
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -58,8 +45,12 @@ class SimConfig:
             raise ValueError("M_list values must be at least 1")
         if not all(0.0 <= lam < math.inf for lam in self.lambda_grid):
             raise ValueError("lambda_grid values must be finite and nonnegative")
-        if self.phi <= 0 or self.p < 1:
-            raise ValueError("phi must be positive and p at least 1")
+        if not 0 < self.phi < math.inf:
+            raise ValueError("phi must be positive and finite")
+        if self.p < 1:
+            raise ValueError("p must be at least 1")
+        if not 0 <= self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be finite and nonnegative")
         if max(self.k_grid) > self.n:
             raise ValueError("k_grid exceeds n = floor(p / phi)")
 
@@ -128,28 +119,6 @@ class SimResult:
                     agg[f"{out_name}_stderr"] = math.nan
             out.append(agg)
         return out
-
-    def to_tidy_csv(self, path) -> None:
-        _write_csv(path, TIDY_COLUMNS, self.rows)
-
-    def to_aggregate_csv(self, path) -> None:
-        _write_csv(path, AGG_COLUMNS, self.aggregate())
-
-
-def _format(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path, columns, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format(row.get(c, "")) for c in columns])
 
 
 @lru_cache(maxsize=8)

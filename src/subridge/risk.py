@@ -83,8 +83,8 @@ class ContourPoint:
 
 
 def _validate_aspects(lam: float, phi: float, phis: float) -> None:
-    if not phi > 0:
-        raise ValueError("phi must be positive")
+    if not 0 < phi < math.inf:
+        raise ValueError("phi must be positive and finite")
     if phis < phi:
         raise ValueError("phis must be at least phi")
     if lam < 0:

@@ -8,6 +8,7 @@ weighted sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,8 @@ class ModelSpec:
     sigma2: float
 
     def __post_init__(self):
-        if self.rho2 < 0 or self.sigma2 < 0:
-            raise ValueError("rho2 and sigma2 must be nonnegative")
+        if not (0 <= self.rho2 < math.inf and 0 <= self.sigma2 < math.inf):
+            raise ValueError("rho2 and sigma2 must be finite and nonnegative")
 
     @property
     def null_risk(self) -> float:

@@ -10,8 +10,6 @@ extrapolation between the sizes tuned with and without a penalty.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -40,24 +38,6 @@ class TuneResult:
     degenerate_cells: tuple[int, ...] = field(default=())
     # The ensemble fitted at k_hat, kept so callers need not refit it.
     fit: ens.EnsembleFit | None = field(default=None, compare=False, repr=False)
-
-    def to_json(self) -> str:
-        payload = {
-            "k_hat": self.k_hat,
-            "gcv_at_k_hat": self.gcv_at_k_hat,
-            "lambda": self.lam,
-            "M": self.M,
-            "path": [[k, g] for k, g in self.path],
-            "degenerate_cells": list(self.degenerate_cells),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def path_to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "gcv"])
-            for k, g in self.path:
-                writer.writerow([k, repr(float(g))])
 
 
 def subsample_grid(n: int, nu: float = 0.5) -> list[int]:

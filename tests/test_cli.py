@@ -1,13 +1,21 @@
 import csv
+import importlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from subridge import ar1_model, generate_ar1, risk_surface
 from subridge import ensemble as ens
-from subridge import generate_ar1
-from subridge.cli import _atomic_write, _load_csv_dataset, _parse_csv, main
+from subridge.cli import (
+    TIDY_COLUMNS,
+    _atomic_write,
+    _load_csv_dataset,
+    _parse_csv,
+    main,
+)
 
 
 def run_cli(args):
@@ -53,12 +61,60 @@ class TestTheorySurface:
         rows = list(csv.DictReader(open(tmp_path / "surface.csv")))
         assert any(row["risk"] == "nan" for row in rows)
 
-    def test_bad_grid_syntax_exits_nonzero(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli([
-                "theory-surface", "--phi", 0.1, "--lambda", "1:0:-3",
-                "--phis", "1", "--out-dir", tmp_path,
-            ])
+    def test_surface_csv_round_trips_risk_surface(self, tmp_path):
+        rc = run_cli([
+            "theory-surface", "--phi", 0.5, "--lambda", "0:0.5:3",
+            "--phis", "0.2:2:4", "--p-ref", 60, "--out-dir", tmp_path,
+        ])
+        assert rc == 0
+        with open(tmp_path / "surface.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["lambda", "phis", "risk"]
+        table = np.array([[float(v) for v in row] for row in rows])
+        lam, phis = np.linspace(0, 0.5, 3), np.linspace(0.2, 2, 4)
+        model, _, _ = ar1_model(0.5, p_ref=60, sigma2=1.0)
+        expected = risk_surface(0.5, lam, phis, model)
+        assert np.isnan(expected).any()  # phis < phi: written as `nan`
+        np.testing.assert_array_equal(table[:, 0], np.repeat(lam, 4))
+        np.testing.assert_array_equal(table[:, 1], np.tile(phis, 3))
+        np.testing.assert_array_equal(table[:, 2], expected.ravel())
+
+    def test_single_inf_is_the_null_predictor(self, tmp_path):
+        rc = run_cli([
+            "theory-surface", "--phi", 0.5, "--lambda", "inf",
+            "--phis", "1:2:2", "--p-ref", 60, "--out-dir", tmp_path,
+        ])
+        assert rc == 0
+        rows = list(csv.DictReader(open(tmp_path / "surface.csv")))
+        model, _, _ = ar1_model(0.5, p_ref=60, sigma2=1.0)
+        assert [row["lambda"] for row in rows] == ["inf", "inf"]
+        assert [float(row["risk"]) for row in rows] == [model.null_risk] * 2
+
+    @pytest.mark.parametrize("flag, grid", [
+        ("--lambda", "1:0:-3"), ("--lambda", "nan"), ("--lambda", "0:inf:3"),
+        ("--phis", "0:nan:3"), ("--phis", "-inf:1:3"),
+    ], ids=["negative-count", "nan", "inf-end", "nan-end", "negative-inf-end"])
+    def test_bad_grid_syntax_exits_nonzero(self, tmp_path, capsys, flag, grid):
+        grids = {"--lambda": "0.1", "--phis": "1:2:3", flag: grid}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["theory-surface", "--phi", 0.1, "--out-dir", tmp_path / "out"]
+                    + [f"{name}={value}" for name, value in grids.items()])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: expected `lo:hi:count` or a single number, "
+                f"got {grid!r}") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+SIM_CONFIG_ERRORS = [
+    ("k_grid = -5,10", "k_grid values must be nonnegative"),
+    ("M_list = 0", "M_list values must be at least 1"),
+    ("lambda_grid = -1", "lambda_grid values must be finite and nonnegative"),
+    ("lambda_grid = nan", "lambda_grid values must be finite and nonnegative"),
+    ("sigma2 = nan", "sigma2 must be finite and nonnegative"),
+    ("sigma2 = inf", "sigma2 must be finite and nonnegative"),
+    ("phi = nan", "phi must be positive and finite"),
+    ("phi = inf", "phi must be positive and finite"),
+]
 
 
 class TestSim:
@@ -89,6 +145,20 @@ class TestSim:
             blobs.append((out / "sim_tidy.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_tidy_header_and_nan_at_excluded_cell(self, tmp_path):
+        # k = p at lambda = 0 sits on the excluded boundary: the theory
+        # columns are nan and spelled so.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("phi = 0.5\np = 20\nk_grid = 20\nlambda_grid = 0\n"
+                       "M_list = 3\nreps = 1\n")
+        assert run_cli(["sim", "--config", cfg, "--out-dir", tmp_path]) == 0
+        with open(tmp_path / "sim_tidy.csv", newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert header == TIDY_COLUMNS
+        cells = dict(zip(header, row))
+        assert cells["risk_theory"] == cells["gcv_theory"] == "nan"
+        assert cells["error"] == "" and math.isfinite(float(cells["gcv"]))
+
     def test_parse_error_has_line_context(self, tmp_path, capsys):
         cfg = tmp_path / "broken.txt"
         cfg.write_text("phi = 0.5\nnot a key value pair\n")
@@ -96,19 +166,17 @@ class TestSim:
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", [
-        "k_grid = -5,10", "M_list = 0", "lambda_grid = -1", "lambda_grid = nan",
-    ])
+    @pytest.mark.parametrize("line, message", SIM_CONFIG_ERRORS,
+                             ids=[line for line, _ in SIM_CONFIG_ERRORS])
     def test_value_every_cell_rejects_is_a_config_error(self, tmp_path, capsys,
-                                                         line):
+                                                         line, message):
         key = line.split(" = ")[0]
         kept = [c for c in self.CONFIG.splitlines() if not c.startswith(key)]
         cfg = tmp_path / "bad.txt"
         cfg.write_text("\n".join(kept + [line]) + "\n")
         rc = run_cli(["sim", "--config", cfg, "--out-dir", tmp_path / "out"])
         assert rc == 2
-        assert f"config error in {cfg}: {key} values must be" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err == f"config error in {cfg}: {message}\n"
         out = tmp_path / "out"
         assert not out.exists()
 
@@ -148,6 +216,21 @@ class TestTune:
         rows = list(csv.reader(open(csv_path)))
         loaded = np.array([[float(v) for v in r[:-1]] for r in rows[1:]])
         np.testing.assert_allclose(loaded, data.X, atol=1e-12)
+
+    def test_serialization_round_trip(self, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path)
+        rc = run_cli([
+            "tune", "--data", csv_path, "--target", "target", "--lambda", 0.1,
+            "--M", 3, "--seed", 5, "--no-baseline", "--out-dir", tmp_path,
+        ])
+        assert rc == 0
+        result = json.loads((tmp_path / "tune_result.json").read_text())
+        with open(tmp_path / "tune_path.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["k", "gcv"]
+        assert [[int(k), float(g)] for k, g in rows] == result["path"]
+        assert [result["k_hat"], result["gcv_at_k_hat"]] in result["path"]
 
     def test_fits_each_ensemble_once(self, tmp_path, monkeypatch):
         # The holdout predictions reuse tune_k's fit at k_hat and
@@ -312,17 +395,30 @@ SURFACE_ARGS = ["theory-surface", "--phi", 0.5, "--lambda", "0:0.5:3",
                 "--phis", "1:4:3", "--p-ref", 60]
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("tune", ["--M", 0]),
-    ("tune", ["--nu", 2]),
-    ("tune", ["--lambda", -1]),
-    ("tune", ["--lambda", "nan"]),
-    ("theory-surface", ["--phi", -1]),
-    ("theory-surface", ["--p-ref", 3]),
-    ("theory-surface", ["--rho-ar1", 1.5]),
-    ("theory-surface", ["--sigma2", -1]),
-])
-def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, command, flags):
+USAGE_ERRORS = [
+    ("tune", ["--M", 0], "M must be at least 1"),
+    ("tune", ["--nu", 2], "nu must lie in (0, 1)"),
+    ("tune", ["--lambda", -1], "lam must be finite and nonnegative"),
+    ("tune", ["--lambda", "nan"], "lam must be finite and nonnegative"),
+    ("theory-surface", ["--phi", -1], "phi must be positive and finite"),
+    ("theory-surface", ["--p-ref", 3],
+     "p_ref must be at least 5 (the signal spans five eigenvectors)"),
+    ("theory-surface", ["--rho-ar1", 1.5], "rho_ar1 must lie in (0, 1)"),
+    ("theory-surface", ["--sigma2", -1],
+     "rho2 and sigma2 must be finite and nonnegative"),
+    ("tune", ["--holdout", "inf"], "holdout must lie in (0, 1)"),
+    ("tune", ["--holdout", "nan"], "holdout must lie in (0, 1)"),
+    ("theory-surface", ["--sigma2", "nan"],
+     "rho2 and sigma2 must be finite and nonnegative"),
+    ("theory-surface", ["--phi", "inf"], "phi must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, message", USAGE_ERRORS,
+    ids=[f"{command}-flags{i}" for i, (command, _, _) in enumerate(USAGE_ERRORS)])
+def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, command, flags,
+                                              message):
     if command == "tune":
         csv_path = tmp_path / "data.csv"
         write_dataset_csv(csv_path, n=60, p=5)
@@ -331,9 +427,8 @@ def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, command, flags):
         args = SURFACE_ARGS
     out = tmp_path / "out"
     rc = run_cli(args + flags + ["--out-dir", out])
-    err = capsys.readouterr().err
     assert rc == 2
-    assert f"subridge {command}: " in err and "Traceback" not in err
+    assert capsys.readouterr().err == f"subridge {command}: {message}\n"
     assert not out.exists()
 
 
@@ -367,6 +462,17 @@ class TestAtomicWrite:
                           lambda p: (seen.append(p.name), p.write_text("x")))
         assert seen[0] != seen[1]
         assert all(name.startswith("out.csv.") for name in seen)
+
+
+def test_library_modules_bind_no_csv_or_json():
+    # subridge.cli writes every output file; the library returns data only.
+    bound = {
+        name: sorted({"csv", "json"} & vars(importlib.import_module(
+            f"subridge.{name}")).keys())
+        for name in ("montecarlo", "tuning", "risk", "ensemble", "fixed_point",
+                     "spectra")
+    }
+    assert bound == {name: [] for name in bound}
 
 
 class TestVerify:

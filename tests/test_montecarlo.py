@@ -99,15 +99,6 @@ class TestRunExperiment:
             assert math.isfinite(row["gcv_theory"])
             assert row["error"] == ""
 
-    def test_reproducible_bytes(self, tmp_path):
-        paths = []
-        for tag in ("a", "b"):
-            result = run_experiment(small_config())
-            path = tmp_path / f"{tag}.csv"
-            result.to_tidy_csv(path)
-            paths.append(path.read_bytes())
-        assert paths[0] == paths[1]
-
     def test_excluded_boundary_marked_not_fatal(self):
         # k = p at lambda = 0 sits on the excluded boundary: the theory
         # columns are nan but the sweep still completes.

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -134,17 +133,6 @@ class TestTuneK:
         assert result.fit.k == result.k_hat and result.fit.M == 3
         np.testing.assert_array_equal(result.fit.coef, refit.coef)
         assert gcv(result.fit, data).value == result.gcv_at_k_hat
-
-    def test_serialization_round_trip(self, tmp_path):
-        rng = np.random.default_rng(34)
-        data = Dataset(rng.standard_normal((40, 4)), rng.standard_normal(40))
-        result = tune_k(data, 0.1, [0, 20, 40], M=3, seed=5)
-        payload = json.loads(result.to_json())
-        assert payload["k_hat"] == result.k_hat
-        csv_path = tmp_path / "path.csv"
-        result.path_to_csv(csv_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "k,gcv" and len(lines) == 4
 
 
 class TestTuneLambda:
