@@ -311,18 +311,28 @@ def predict(fit: EnsembleFit, X_new: np.ndarray) -> np.ndarray:
     return np.asarray(X_new, dtype=float) @ fit.coef
 
 
+def _mean_squared_residual(data: Dataset, coef: np.ndarray, rows=None) -> float:
+    """Mean of (y - X coef)^2 over the rows `rows` (all rows when None).
+    Every row's residual is formed and the wanted ones are taken, so no rows
+    of X are copied."""
+    resid = data.y - data.X @ coef
+    return float(np.mean((resid if rows is None else resid[rows]) ** 2))
+
+
 def training_error(fit: EnsembleFit, data: Dataset) -> float:
     """Mean squared residual of the averaged predictor over the union of
     subsamples; over all rows for the null fit."""
     idx = fit.union_indices
-    if idx.size == 0:
-        return float(np.mean(data.y**2))
-    resid = data.y[idx] - data.X[idx] @ fit.coef
-    return float(np.mean(resid**2))
+    return _mean_squared_residual(data, fit.coef, idx if idx.size else None)
 
 
 def oob_error(fit: EnsembleFit, data: Dataset) -> float:
-    """Mean squared residual over rows outside every subsample."""
+    """Mean squared residual over rows outside every subsample.
+
+    The out-of-bag rows are copied and multiplied on their own. BLAS may
+    round a row's product differently inside the full product, and a mean
+    over the few rows left out of a large union passes that rounding on.
+    """
     mask = np.ones(data.n, dtype=bool)
     mask[fit.union_indices] = False
     if not mask.any():
@@ -346,6 +356,5 @@ def gcv(fit: EnsembleFit, data: Dataset) -> GcvReport:
 def conditional_risk(fit: EnsembleFit, test_data: Dataset) -> float:
     """Mean squared prediction error on held-out pairs: the Monte Carlo
     estimate of the conditional risk."""
-    resid = test_data.y - predict(fit, test_data.X)
-    return float(np.mean(resid**2))
+    return _mean_squared_residual(test_data, fit.coef)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ensemble as ens
 from .risk import asymptotic_risk, gcv_limit_finite_M
-from .spectra import ModelSpec, ar1_model
+from .spectra import ModelSpec, ar1_model, check_rho_ar1
 
 __all__ = ["SimConfig", "SimResult", "generate_ar1", "run_experiment"]
 
@@ -51,6 +51,7 @@ class SimConfig:
             raise ValueError("p must be at least 1")
         if not 0 <= self.sigma2 < math.inf:
             raise ValueError("sigma2 must be finite and nonnegative")
+        check_rho_ar1(self.rho_ar1)
         if max(self.k_grid) > self.n:
             raise ValueError("k_grid exceeds n = floor(p / phi)")
 
@@ -128,22 +129,38 @@ def _ar1_cache(rho_ar1: float, p: int, sigma2: float):
     return model, chol, beta0
 
 
+# Bytes of Gaussian draws multiplied by the Cholesky factor at a time.
+_DRAW_BLOCK_BYTES = 1 << 20
+
+
 def generate_ar1(
     n: int, p: int, rho_ar1: float, sigma2: float, seed
 ) -> tuple[ens.Dataset, np.ndarray]:
     """Draw a dataset with AR(1)-correlated Gaussian features.
 
-    Rows of X are N(0, Sigma) with Sigma_ij = rho_ar1^|i-j|; the signal puts
-    equal weight on the top five eigenvectors of Sigma; noise is
-    N(0, sigma2). Deterministic given the seed.
+    Rows of X are N(0, Sigma) with Sigma_ij = rho_ar1^|i-j|, rho_ar1 in
+    [0, 1); the signal puts equal weight on the top five eigenvectors of
+    Sigma; noise is N(0, sigma2). Deterministic given the seed.
+
+    X is drawn in row blocks of about _DRAW_BLOCK_BYTES into one array, so
+    the draw needs one design plus one block. The generator's stream is
+    sequential, so the blocks hold the same standard normals as a single
+    (n, p) draw, and each block multiplies the Cholesky factor over the
+    full inner dimension p. BLAS may still round a row differently in a
+    smaller product: with OpenBLAS 0.3.31 on an AVX-512 CPU the blocks give
+    the single product bit for bit at the shapes of `subridge verify`, the
+    demos and the benchmark (n = 4000, p = 400), but not at every shape
+    (n = 4000, p = 700 differs in the last bit).
     """
-    if not 0 <= rho_ar1 < 1:
-        raise ValueError("rho_ar1 must lie in [0, 1)")
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
+    if not 0 <= sigma2 < math.inf:
+        raise ValueError("sigma2 must be finite and nonnegative")
     _, chol, beta0 = _ar1_cache(rho_ar1, p, sigma2)
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, p)) @ chol.T
+    X = np.empty((n, p))
+    rows = max(1, _DRAW_BLOCK_BYTES // (8 * p))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        np.matmul(rng.standard_normal((stop - start, p)), chol.T, out=X[start:stop])
     y = X @ beta0 + (
         math.sqrt(sigma2) * rng.standard_normal(n) if sigma2 > 0 else 0.0
     )
@@ -161,6 +178,75 @@ def _theory_for_cell(
     return risk, gcv_lim
 
 
+# Per-cell numerical failures: recorded in the row, never fatal.
+_NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def _record_failure(row: dict, exc: BaseException) -> None:
+    row.update(gcv=math.nan, train_error=math.nan, oob_error=math.nan,
+               test_risk=math.nan, error=type(exc).__name__)
+
+
+def _draw(config: SimConfig, rep: int, stream: int) -> ens.Dataset:
+    """Replicate rep's training (stream 0) or test (stream 1) design."""
+    data, _ = generate_ar1(
+        config.n, config.p, config.rho_ar1, config.sigma2,
+        np.random.SeedSequence((config.master_seed, rep, stream)),
+    )
+    return data
+
+
+def _fit_replicate(config: SimConfig, rep: int, cells, theory):
+    """Fit every cell on replicate rep's training design: its rows, and the
+    averaged coefficients of each cell that fitted (None where it failed).
+    The design is dropped on return."""
+    data = _draw(config, rep, 0)
+    rows, coefs = [], []
+    for cell_index, (k, lam, M) in enumerate(cells):
+        phis, risk_theory, gcv_theory = theory[(k, lam, M)]
+        row = {
+            "rep": rep, "k": k, "lambda": lam, "M": M, "phis": phis,
+            "risk_theory": risk_theory, "gcv_theory": gcv_theory,
+            "error": "",
+        }
+        coef = None
+        try:
+            seed = int(
+                np.random.SeedSequence(
+                    (config.master_seed, rep, 2 + cell_index)
+                ).generate_state(1)[0]
+            )
+            fit = ens.ensemble_fit(data, k, M, lam, seed)
+            report = ens.gcv(fit, data)
+            row["gcv"] = report.value
+            row["train_error"] = report.numerator
+            try:
+                row["oob_error"] = ens.oob_error(fit, data)
+            except ens.UndefinedOobError:
+                row["oob_error"] = math.nan
+            coef = fit.coef
+        except _NUMERICAL_ERRORS as exc:
+            # A numerical failure is recorded and the run continues;
+            # any other exception is a bug and propagates.
+            _record_failure(row, exc)
+        rows.append(row)
+        coefs.append(coef)
+    return rows, coefs
+
+
+def _score_replicate(config: SimConfig, rep: int, rows, coefs) -> None:
+    """Fill test_risk from replicate rep's test design, drawn only now, as
+    conditional_risk does from a fit."""
+    test = _draw(config, rep, 1)
+    for row, coef in zip(rows, coefs):
+        if coef is None:
+            continue
+        try:
+            row["test_risk"] = ens._mean_squared_residual(test, coef)
+        except _NUMERICAL_ERRORS as exc:
+            _record_failure(row, exc)
+
+
 def run_experiment(config: SimConfig) -> SimResult:
     """Run the sweep described by the config.
 
@@ -168,8 +254,12 @@ def run_experiment(config: SimConfig) -> SimResult:
     are recorded in the `error` column and do not abort the run; any other
     exception propagates. Seeds are derived from (master_seed, rep, cell
     index), so cell order and parallelism do not affect the draws.
+
+    A replicate fits every cell on its training design and keeps only each
+    cell's averaged coefficients; the test design is drawn after the
+    training design is dropped, so one design is alive at a time.
     """
-    n, p = config.n, config.p
+    p = config.p
     model, _, _ = _ar1_cache(config.rho_ar1, p, config.sigma2)
     cells = [
         (k, lam, M)
@@ -186,41 +276,7 @@ def run_experiment(config: SimConfig) -> SimResult:
 
     result = SimResult(config=config)
     for rep in range(config.reps):
-        data, _ = generate_ar1(
-            n, p, config.rho_ar1, config.sigma2,
-            np.random.SeedSequence((config.master_seed, rep, 0)),
-        )
-        test, _ = generate_ar1(
-            n, p, config.rho_ar1, config.sigma2,
-            np.random.SeedSequence((config.master_seed, rep, 1)),
-        )
-        for cell_index, (k, lam, M) in enumerate(cells):
-            phis, risk_theory, gcv_theory = theory[(k, lam, M)]
-            row = {
-                "rep": rep, "k": k, "lambda": lam, "M": M, "phis": phis,
-                "risk_theory": risk_theory, "gcv_theory": gcv_theory,
-                "error": "",
-            }
-            try:
-                seed = int(
-                    np.random.SeedSequence(
-                        (config.master_seed, rep, 2 + cell_index)
-                    ).generate_state(1)[0]
-                )
-                fit = ens.ensemble_fit(data, k, M, lam, seed)
-                report = ens.gcv(fit, data)
-                row["gcv"] = report.value
-                row["train_error"] = report.numerator
-                try:
-                    row["oob_error"] = ens.oob_error(fit, data)
-                except ens.UndefinedOobError:
-                    row["oob_error"] = math.nan
-                row["test_risk"] = ens.conditional_risk(fit, test)
-            except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-                # A numerical failure is recorded and the run continues;
-                # any other exception is a bug and propagates.
-                row.update(gcv=math.nan, train_error=math.nan,
-                           oob_error=math.nan, test_risk=math.nan,
-                           error=type(exc).__name__)
-            result.rows.append(row)
+        rows, coefs = _fit_replicate(config, rep, cells, theory)
+        _score_replicate(config, rep, rows, coefs)
+        result.rows.extend(rows)
     return result

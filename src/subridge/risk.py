@@ -82,9 +82,13 @@ class ContourPoint:
     risk: float
 
 
-def _validate_aspects(lam: float, phi: float, phis: float) -> None:
+def _check_phi(phi: float) -> None:
     if not 0 < phi < math.inf:
         raise ValueError("phi must be positive and finite")
+
+
+def _validate_aspects(lam: float, phi: float, phis: float) -> None:
+    _check_phi(phi)
     if phis < phi:
         raise ValueError("phis must be at least phi")
     if lam < 0:
@@ -313,8 +317,7 @@ def contour_lambda_for_phis(phi: float, phis_bar: float, H: SpectralMeasure) -> 
     full-ensemble risk. lam_bar = (phis_bar - phi) int r/(1 + vr) dH, and at
     lam = 0 the fixed point gives that integral as 1/(v phis_bar).
     """
-    if not phi > 0:
-        raise ValueError("phi must be positive")
+    _check_phi(phi)
     if not phis_bar >= phi:
         raise ValueError("phis_bar must be at least phi")
     if math.isinf(phis_bar):

@@ -138,10 +138,16 @@ def signal_measure(
     return SpectralMeasure(values=r[keep], weights=w / w.sum()), rho2
 
 
+def check_rho_ar1(rho_ar1: float) -> None:
+    """Reject an AR(1) correlation outside [0, 1) or NaN. rho_ar1 = 0 gives
+    the identity covariance (0.0 ** 0 == 1)."""
+    if not 0.0 <= rho_ar1 < 1.0:
+        raise ValueError("rho_ar1 must lie in [0, 1)")
+
+
 def ar1_covariance(rho_ar1: float, p: int) -> np.ndarray:
     """Toeplitz covariance with entries rho_ar1 ** |i - j|."""
-    if not 0.0 < rho_ar1 < 1.0:
-        raise ValueError("rho_ar1 must lie in (0, 1)")
+    check_rho_ar1(rho_ar1)
     lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     return (rho_ar1 ** np.arange(p))[lags]
 

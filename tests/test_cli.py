@@ -2,12 +2,16 @@ import csv
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subridge import ar1_model, generate_ar1, risk_surface
+from subridge import ar1_model, generate_ar1, isotropic_model, risk_surface
 from subridge import ensemble as ens
 from subridge.cli import (
     TIDY_COLUMNS,
@@ -79,6 +83,23 @@ class TestTheorySurface:
         np.testing.assert_array_equal(table[:, 1], np.tile(phis, 3))
         np.testing.assert_array_equal(table[:, 2], expected.ravel())
 
+    def test_rho_zero_is_the_isotropic_model(self, tmp_path):
+        # AR(1) with rho = 0 is the identity covariance; its signal spans
+        # five eigenvectors at 1/5 each, so rho^2 = 0.2.
+        rc = run_cli([
+            "theory-surface", "--phi", 0.5, "--lambda", "0:0.5:3",
+            "--phis", "0.2:4:5", "--p-ref", 60, "--rho-ar1", 0,
+            "--out-dir", tmp_path,
+        ])
+        assert rc == 0
+        with open(tmp_path / "surface.csv", newline="") as fh:
+            _, *rows = list(csv.reader(fh))
+        risk = np.array([float(row[2]) for row in rows]).reshape(3, 5)
+        expected = risk_surface(0.5, np.linspace(0, 0.5, 3),
+                                np.linspace(0.2, 4, 5), isotropic_model(0.2, 1.0))
+        np.testing.assert_array_equal(np.isnan(risk), np.isnan(expected))
+        np.testing.assert_allclose(risk, expected, rtol=1e-12, atol=0)
+
     def test_single_inf_is_the_null_predictor(self, tmp_path):
         rc = run_cli([
             "theory-surface", "--phi", 0.5, "--lambda", "inf",
@@ -114,6 +135,9 @@ SIM_CONFIG_ERRORS = [
     ("sigma2 = inf", "sigma2 must be finite and nonnegative"),
     ("phi = nan", "phi must be positive and finite"),
     ("phi = inf", "phi must be positive and finite"),
+    ("rho_ar1 = 1", "rho_ar1 must lie in [0, 1)"),
+    ("rho_ar1 = -0.5", "rho_ar1 must lie in [0, 1)"),
+    ("rho_ar1 = nan", "rho_ar1 must lie in [0, 1)"),
 ]
 
 
@@ -158,6 +182,18 @@ class TestSim:
         cells = dict(zip(header, row))
         assert cells["risk_theory"] == cells["gcv_theory"] == "nan"
         assert cells["error"] == "" and math.isfinite(float(cells["gcv"]))
+
+    def test_isotropic_features_run(self, tmp_path):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(self.CONFIG + "rho_ar1 = 0\n")
+        assert run_cli(["sim", "--config", cfg, "--out-dir", tmp_path]) == 0
+        with open(tmp_path / "sim_tidy.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["error"] == ""
+            assert math.isfinite(float(row["test_risk"]))
+            assert math.isfinite(float(row["risk_theory"]))
 
     def test_parse_error_has_line_context(self, tmp_path, capsys):
         cfg = tmp_path / "broken.txt"
@@ -403,7 +439,7 @@ USAGE_ERRORS = [
     ("theory-surface", ["--phi", -1], "phi must be positive and finite"),
     ("theory-surface", ["--p-ref", 3],
      "p_ref must be at least 5 (the signal spans five eigenvectors)"),
-    ("theory-surface", ["--rho-ar1", 1.5], "rho_ar1 must lie in (0, 1)"),
+    ("theory-surface", ["--rho-ar1", 1.5], "rho_ar1 must lie in [0, 1)"),
     ("theory-surface", ["--sigma2", -1],
      "rho2 and sigma2 must be finite and nonnegative"),
     ("tune", ["--holdout", "inf"], "holdout must lie in (0, 1)"),
@@ -430,6 +466,25 @@ def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, command, flags,
     assert rc == 2
     assert capsys.readouterr().err == f"subridge {command}: {message}\n"
     assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    args = [str(a) for a in SURFACE_ARGS + ["--out-dir", tmp_path]]
+    proc = subprocess.run([sys.executable, "-m", "subridge", *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "surface.csv").exists()
+    proc = subprocess.run([sys.executable, "-m", "subridge", "theory-surface",
+                           "--phi", "-1", "--lambda", "0.1", "--phis", "2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "subridge theory-surface: phi must be positive and finite\n"
 
 
 class TestAtomicWrite:

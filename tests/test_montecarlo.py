@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from subridge import (
     SimConfig,
     ar1_covariance,
+    conditional_risk,
     ensemble_fit,
     gcv,
     generate_ar1,
     run_experiment,
 )
 from subridge import ensemble as ens
+from subridge import montecarlo as mc
 
 
 class TestGenerateAr1:
@@ -33,11 +36,44 @@ class TestGenerateAr1:
         # Wishart concentration: entrywise std error ~ 1/sqrt(n).
         assert err <= 3.0 * p / math.sqrt(n)
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            generate_ar1(10, 5, 1.5, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            generate_ar1(10, 5, 0.5, -1.0, seed=0)
+    @pytest.mark.parametrize("rho, sigma2, message", [
+        (1.5, 1.0, "rho_ar1 must lie in \\[0, 1\\)"),
+        (-0.1, 1.0, "rho_ar1 must lie in \\[0, 1\\)"),
+        (math.nan, 1.0, "rho_ar1 must lie in \\[0, 1\\)"),
+        (0.5, -1.0, "sigma2 must be finite and nonnegative"),
+        (0.5, math.nan, "sigma2 must be finite and nonnegative"),
+        (0.5, math.inf, "sigma2 must be finite and nonnegative"),
+    ])
+    def test_invalid_parameters(self, rho, sigma2, message):
+        with pytest.raises(ValueError, match=message):
+            generate_ar1(10, 5, rho, sigma2, seed=0)
+
+    def test_rho_zero_draws_isotropic_features(self):
+        data, beta0 = generate_ar1(30, 6, 0.0, 0.0, seed=3)
+        Z = np.random.default_rng(3).standard_normal((30, 6))
+        np.testing.assert_array_equal(data.X, Z)  # the Cholesky factor is I
+        assert beta0 @ beta0 == pytest.approx(0.2, rel=1e-12)
+
+    @pytest.mark.parametrize("n, p, block_bytes", [
+        (1000, 40, 8 * 40 * 64),    # 64-row blocks, 40 rows left over
+        (97, 30, 8 * 30 * 10 + 5),  # 10-row blocks, 7 rows left over
+        (25, 12, 8),                # a block holds less than one row
+    ], ids=["several-blocks", "remainder", "one-row-blocks"])
+    def test_blocked_draw_is_one_draw_of_the_stream(self, monkeypatch, n, p,
+                                                    block_bytes):
+        # The blocks take the generator's normals in order: X is the single
+        # (n, p) draw times the Cholesky factor, up to the rounding of the
+        # block products (BLAS may order a row's sums differently in a
+        # smaller product), and the noise continues the same stream.
+        monkeypatch.setattr(mc, "_DRAW_BLOCK_BYTES", block_bytes)
+        sigma2 = 0.7
+        data, beta0 = generate_ar1(n, p, 0.5, sigma2, seed=11)
+        rng = np.random.default_rng(11)
+        _, chol, _ = mc._ar1_cache(0.5, p, sigma2)
+        expected = rng.standard_normal((n, p)) @ chol.T
+        np.testing.assert_allclose(data.X, expected, rtol=0, atol=1e-14)
+        noise = math.sqrt(sigma2) * rng.standard_normal(n)
+        np.testing.assert_array_equal(data.y, data.X @ beta0 + noise)
 
 
 def small_config(**overrides):
@@ -123,6 +159,72 @@ class TestRunExperiment:
         monkeypatch.setattr(ens, "ensemble_fit", broken)
         with pytest.raises(TypeError, match="bug in a member solver"):
             run_experiment(small_config(reps=1))
+
+    def test_test_risk_is_conditional_risk_of_the_fit(self):
+        # test_risk is scored after the training design is dropped, from
+        # the cell's averaged coefficients alone; it must equal scoring the
+        # fit itself on the replicate's test design.
+        config = small_config(k_grid=(0, 10, 20, 40), lambda_grid=(0.0, 0.1),
+                              M_list=(1, 3))
+        rows = iter(run_experiment(config).rows)
+        for rep in range(config.reps):
+            data, test = (generate_ar1(
+                config.n, config.p, 0.5, 1.0,
+                np.random.SeedSequence((config.master_seed, rep, stream)),
+            )[0] for stream in (0, 1))
+            cells = [(k, lam, M) for k in config.k_grid
+                     for lam in config.lambda_grid for M in config.M_list]
+            for cell_index, (k, lam, M) in enumerate(cells):
+                seed = int(np.random.SeedSequence(
+                    (config.master_seed, rep, 2 + cell_index)
+                ).generate_state(1)[0])
+                fit = ensemble_fit(data, k, M, lam, seed)
+                row = next(rows)
+                assert (row["rep"], row["k"], row["lambda"], row["M"]) == (
+                    rep, k, lam, M)
+                assert row["test_risk"] == conditional_risk(fit, test)
+                assert row["gcv"] == gcv(fit, data).value
+        assert next(rows, None) is None
+
+    def test_scoring_failure_fills_the_row_with_nan(self, monkeypatch):
+        # Scoring takes the mean over every row of the test design; the
+        # training error of a k > 0 cell passes its union's rows.
+        original = ens._mean_squared_residual
+
+        def fail_on_test(data, coef, rows=None):
+            if rows is None:
+                raise FloatingPointError("overflow")
+            return original(data, coef, rows)
+
+        monkeypatch.setattr(ens, "_mean_squared_residual", fail_on_test)
+        rows = run_experiment(small_config(reps=1)).rows
+        assert [row["error"] for row in rows] == ["FloatingPointError"] * 2
+        for row in rows:
+            for column in ("gcv", "train_error", "oob_error", "test_risk"):
+                assert math.isnan(row[column])
+
+    def test_one_design_alive_at_a_time(self):
+        # A replicate holds one design plus one cell's scratch: the previous
+        # replicate's designs are gone, the test draw waits for the training
+        # design to go, X is drawn in blocks, and the training error copies
+        # no rows of X. Two costs scale with the cell, not the design, and
+        # are kept small here: the out-of-bag error copies the rows left out
+        # of the union (about 40 rows at k = 3600, none at k = n), and the
+        # fit keeps M k member indices.
+        config = SimConfig(
+            phi=0.05, p=200, k_grid=(3600, 4000), lambda_grid=(0.1,),
+            M_list=(2,), reps=2, master_seed=3,
+        )
+        design_bytes = config.n * config.p * 8  # 6.4 MB; a draw block is 1 MB
+        run_experiment(config)  # first-use imports are not a replicate's memory
+        tracemalloc.start()
+        try:
+            result = run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(row["error"] == "" for row in result.rows)
+        assert peak < 1.6 * design_bytes
 
     def test_aggregate_shape(self):
         agg = run_experiment(small_config()).aggregate()

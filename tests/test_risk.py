@@ -196,9 +196,14 @@ class TestOptimizers:
         (lambda: equivalence_path(-1.0, 3.0, AR1), "phi must be positive"),
         (lambda: contour_lambda_for_phis(-1.0, 3.0, AR1.H), "phi must be positive"),
         (lambda: equivalence_path(0.5, 0.2, AR1), "phis_bar must be at least phi"),
+        (lambda: contour_lambda_for_phis(math.inf, math.inf, AR1.H),
+         "phi must be positive and finite"),
+        (lambda: contour_lambda_for_phis(math.nan, 3.0, AR1.H),
+         "phi must be positive and finite"),
     ], ids=["subsample-negative-phi", "subsample-nan-phi", "lambda-negative-phi",
             "lambda-phis-below-phi", "subsample-negative-lam", "path-negative-phi",
-            "contour-negative-phi", "path-phis-below-phi"])
+            "contour-negative-phi", "path-phis-below-phi", "contour-inf-phi",
+            "contour-nan-phi"])
     def test_reject_aspects_outside_the_domain(self, evaluate, message):
         with pytest.raises(ValueError, match=message):
             evaluate()

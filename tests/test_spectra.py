@@ -66,6 +66,16 @@ def test_ar1_covariance_is_toeplitz_power():
     np.testing.assert_allclose(cov, expected)
 
 
+def test_ar1_covariance_at_rho_zero_is_the_identity():
+    np.testing.assert_array_equal(ar1_covariance(0.0, 5), np.eye(5))
+
+
+@pytest.mark.parametrize("rho", [1.0, -0.1, float("nan"), float("inf")])
+def test_ar1_covariance_rejects_rho_outside_unit_interval(rho):
+    with pytest.raises(ValueError, match=r"rho_ar1 must lie in \[0, 1\)"):
+        ar1_covariance(rho, 3)
+
+
 @pytest.mark.parametrize("rho", [0.25, 0.5, 0.9])
 @pytest.mark.parametrize("p", [1, 2, 7, 500])
 def test_ar1_covariance_equals_scipy_toeplitz(rho, p):
