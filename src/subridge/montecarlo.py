@@ -235,8 +235,9 @@ def _fit_replicate(config: SimConfig, rep: int, cells, theory):
 
 
 def _score_replicate(config: SimConfig, rep: int, rows, coefs) -> None:
-    """Fill test_risk from replicate rep's test design, drawn only now, as
-    conditional_risk does from a fit."""
+    """Fill test_risk from replicate rep's test design, drawn only now: the
+    mean squared residual of each cell's coefficients, which is
+    conditional_risk of the cell's fit."""
     test = _draw(config, rep, 1)
     for row, coef in zip(rows, coefs):
         if coef is None:

@@ -36,17 +36,17 @@ class TestGenerateAr1:
         # Wishart concentration: entrywise std error ~ 1/sqrt(n).
         assert err <= 3.0 * p / math.sqrt(n)
 
-    @pytest.mark.parametrize("rho, sigma2, message", [
-        (1.5, 1.0, "rho_ar1 must lie in \\[0, 1\\)"),
-        (-0.1, 1.0, "rho_ar1 must lie in \\[0, 1\\)"),
-        (math.nan, 1.0, "rho_ar1 must lie in \\[0, 1\\)"),
-        (0.5, -1.0, "sigma2 must be finite and nonnegative"),
-        (0.5, math.nan, "sigma2 must be finite and nonnegative"),
-        (0.5, math.inf, "sigma2 must be finite and nonnegative"),
-    ])
-    def test_invalid_parameters(self, rho, sigma2, message):
-        with pytest.raises(ValueError, match=message):
-            generate_ar1(10, 5, rho, sigma2, seed=0)
+    def test_invalid_parameters(self):
+        for rho, sigma2, message in [
+            (1.5, 1.0, r"rho_ar1 must lie in \[0, 1\)"),
+            (-0.1, 1.0, r"rho_ar1 must lie in \[0, 1\)"),
+            (math.nan, 1.0, r"rho_ar1 must lie in \[0, 1\)"),
+            (0.5, -1.0, "sigma2 must be finite and nonnegative"),
+            (0.5, math.nan, "sigma2 must be finite and nonnegative"),
+            (0.5, math.inf, "sigma2 must be finite and nonnegative"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                generate_ar1(10, 5, rho, sigma2, seed=0)
 
     def test_rho_zero_draws_isotropic_features(self):
         data, beta0 = generate_ar1(30, 6, 0.0, 0.0, seed=3)
