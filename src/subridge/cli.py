@@ -81,7 +81,8 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, lambda p: p.write_text(text, newline="\n"))
 
 
-def _manifest(out_dir: Path, command: str, config: dict, seed, outputs, started):
+def _manifest(out_dir: Path, command: str, config: dict, seed, outputs, started,
+              **run_info):
     payload = {
         "command": command,
         "config": config,
@@ -89,6 +90,7 @@ def _manifest(out_dir: Path, command: str, config: dict, seed, outputs, started)
         "artifact_version": __version__,
         "outputs": [str(p) for p in outputs],
         "wall_clock_seconds": round(time.perf_counter() - started, 3),
+        **run_info,
     }
     _write_json(out_dir / f"{command.replace('-', '_')}_manifest.json", payload)
 
@@ -202,7 +204,14 @@ def cmd_sim(args) -> int:
                ([row[c] for c in TIDY_COLUMNS] for row in result.rows))
     _write_csv(agg_path, AGG_COLUMNS,
                ([row[c] for c in AGG_COLUMNS] for row in result.aggregate()))
-    _manifest(out, "sim", items, config.master_seed, [tidy_path, agg_path], started)
+    _manifest(out, "sim", items, config.master_seed, [tidy_path, agg_path], started,
+              workers=result.workers,
+              blas_threads_per_worker=result.blas_threads_per_worker,
+              replicate_seconds=[
+                  {"rep": t["rep"], "fit_s": round(t["fit_s"], 3),
+                   "score_s": round(t["score_s"], 3)}
+                  for t in result.replicate_seconds
+              ])
     return 0
 
 

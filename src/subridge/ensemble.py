@@ -312,9 +312,9 @@ def predict(fit: EnsembleFit, X_new: np.ndarray) -> np.ndarray:
 
 
 def _mean_squared_residual(data: Dataset, coef: np.ndarray, rows=None) -> float:
-    """Mean of (y - X coef)^2 over the rows `rows` (all rows when None).
-    Every row's residual is formed and the wanted ones are taken, so no rows
-    of X are copied."""
+    """Mean of (y - X coef)^2 over the rows `rows`, an index array or a
+    boolean mask (all rows when None). Every row's residual is formed and
+    the wanted ones are taken, so no rows of X are copied."""
     resid = data.y - data.X @ coef
     return float(np.mean((resid if rows is None else resid[rows]) ** 2))
 
@@ -327,18 +327,13 @@ def training_error(fit: EnsembleFit, data: Dataset) -> float:
 
 
 def oob_error(fit: EnsembleFit, data: Dataset) -> float:
-    """Mean squared residual over rows outside every subsample.
-
-    The out-of-bag rows are copied and multiplied on their own. BLAS may
-    round a row's product differently inside the full product, and a mean
-    over the few rows left out of a large union passes that rounding on.
-    """
+    """Mean squared residual over rows outside every subsample, taken from
+    the residuals of all rows, so no rows of X are copied."""
     mask = np.ones(data.n, dtype=bool)
     mask[fit.union_indices] = False
     if not mask.any():
         raise UndefinedOobError("subsamples cover every observation")
-    resid = data.y[mask] - data.X[mask] @ fit.coef
-    return float(np.mean(resid**2))
+    return _mean_squared_residual(data, fit.coef, mask)
 
 
 def gcv(fit: EnsembleFit, data: Dataset) -> GcvReport:

@@ -9,8 +9,9 @@ deterministic given the configuration, including the master seed.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -89,10 +90,15 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """Tidy per-(rep, cell) rows plus across-rep aggregates."""
+    """Tidy per-(rep, cell) rows plus across-rep aggregates, and how the
+    replicates ran: the worker processes, the BLAS threads of each, and
+    each replicate's fit and score seconds as timed in its worker."""
 
     config: SimConfig
     rows: list[dict] = field(default_factory=list)
+    workers: int = 1
+    blas_threads_per_worker: int = 1
+    replicate_seconds: list[dict] = field(default_factory=list)
 
     def aggregate(self) -> list[dict]:
         cells: dict[tuple, list[dict]] = {}
@@ -147,10 +153,11 @@ def generate_ar1(
     sequential, so the blocks hold the same standard normals as a single
     (n, p) draw, and each block multiplies the Cholesky factor over the
     full inner dimension p. BLAS may still round a row differently in a
-    smaller product: with OpenBLAS 0.3.31 on an AVX-512 CPU the blocks give
-    the single product bit for bit at the shapes of `subridge verify`, the
-    demos and the benchmark (n = 4000, p = 400), but not at every shape
-    (n = 4000, p = 700 differs in the last bit).
+    smaller product: with OpenBLAS 0.3.31 on an AVX-512 CPU in one thread,
+    as `run_experiment`'s workers run it, the blocks give the single
+    product bit for bit at the shapes of `subridge verify`, the demos and
+    the benchmark (n = 4000, p = 400), but not at every shape (n = 4000,
+    p = 700 and n = 600, p = 300 differ in the last bit).
     """
     if not 0 <= sigma2 < math.inf:
         raise ValueError("sigma2 must be finite and nonnegative")
@@ -248,18 +255,11 @@ def _score_replicate(config: SimConfig, rep: int, rows, coefs) -> None:
             _record_failure(row, exc)
 
 
-def run_experiment(config: SimConfig) -> SimResult:
-    """Run the sweep described by the config.
-
-    Per-cell numerical failures (ValueError, ArithmeticError, LinAlgError)
-    are recorded in the `error` column and do not abort the run; any other
-    exception propagates. Seeds are derived from (master_seed, rep, cell
-    index), so cell order and parallelism do not affect the draws.
-
-    A replicate fits every cell on its training design and keeps only each
-    cell's averaged coefficients; the test design is drawn after the
-    training design is dropped, so one design is alive at a time.
-    """
+@lru_cache(maxsize=8)
+def _plan(config: SimConfig):
+    """The sweep's cells in order, and each cell's (phis, risk_theory,
+    gcv_theory). Cached, so a worker computes the theory once for all of
+    its replicates."""
     p = config.p
     model, _, _ = _ar1_cache(config.rho_ar1, p, config.sigma2)
     cells = [
@@ -274,10 +274,49 @@ def run_experiment(config: SimConfig) -> SimResult:
         theory[(k, lam, M)] = (phis,) + _theory_for_cell(
             model, config.phi, phis, lam, M
         )
+    return cells, theory
 
-    result = SimResult(config=config)
-    for rep in range(config.reps):
-        rows, coefs = _fit_replicate(config, rep, cells, theory)
-        _score_replicate(config, rep, rows, coefs)
+
+def _run_replicate(config: SimConfig, rep: int):
+    """Replicate rep in this process: its rows, and the seconds it spent
+    fitting and scoring."""
+    cells, theory = _plan(config)
+    started = time.perf_counter()
+    rows, coefs = _fit_replicate(config, rep, cells, theory)
+    fitted = time.perf_counter()
+    _score_replicate(config, rep, rows, coefs)
+    return rows, fitted - started, time.perf_counter() - fitted
+
+
+def run_experiment(config: SimConfig) -> SimResult:
+    """Run the sweep described by the config.
+
+    Per-cell numerical failures (ValueError, ArithmeticError, LinAlgError)
+    are recorded in the `error` column and do not abort the run; any other
+    exception propagates. Seeds are derived from (master_seed, rep, cell
+    index), so cell order and parallelism do not affect the draws.
+
+    Replicates run in worker processes, one per usable CPU and at most one
+    per replicate, each with one BLAS thread (`subridge._worker`); the rows
+    come back in rep order. Every replicate, the theory columns included,
+    is computed under the same BLAS setting, so the rows are the same for
+    any worker count, CPU count or caller BLAS thread setting.
+
+    A replicate fits every cell on its training design and keeps only each
+    cell's averaged coefficients; the test design is drawn after the
+    training design is dropped, so a worker holds one design at a time.
+    """
+    from ._worker import BLAS_THREADS, map_in_workers, worker_count
+
+    workers = worker_count(config.reps)
+    replicates = map_in_workers(
+        partial(_run_replicate, config), range(config.reps), workers
+    )
+    result = SimResult(config=config, workers=workers,
+                       blas_threads_per_worker=BLAS_THREADS)
+    for rep, (rows, fit_s, score_s) in enumerate(replicates):
         result.rows.extend(rows)
+        result.replicate_seconds.append(
+            {"rep": rep, "fit_s": fit_s, "score_s": score_s}
+        )
     return result

@@ -264,26 +264,33 @@ def criterion_two_member_inconsistency():
     return ok_value and ok_gap and ok_large, detail
 
 
-def criterion_tuning_end_to_end():
-    """GCV subsample tuning tracks the oracle and the tuned-ridge baseline."""
-    n, p, M, reps = 2000, 200, 50, 10
+def _tuning_replicate(rep):
+    """One replicate of `tuning-end-to-end`: the test risks of the
+    GCV-selected k, of the best k on the grid and of the tuned-ridge
+    baseline. Its data come from seeds, so replicates run in any process."""
+    n, p, M = 2000, 200, 50
     grid = subsample_grid(n, 0.5)
     lam_grid = np.concatenate(([0.0], np.logspace(-3, 1, 15)))
-    selected, oracle, baseline = [], [], []
-    for rep in range(reps):
-        data, _ = generate_ar1(n, p, 0.5, 1.0, np.random.SeedSequence((9, rep, 0)))
-        test, _ = generate_ar1(n, p, 0.5, 1.0, np.random.SeedSequence((9, rep, 1)))
-        path = []
-        for k in grid:
-            fit = ens.ensemble_fit(data, k, M, 0.0, seed=rep)
-            path.append((k, ens.gcv(fit, data).value,
-                         ens.conditional_risk(fit, test)))
-        k_hat, _, _ = min(path, key=lambda t: (t[1], t[0]))
-        selected.append(next(r for k, _, r in path if k == k_hat))
-        oracle.append(min(r for _, _, r in path))
-        _, _, base_fit = tune_lambda(data, lam_grid)
-        baseline.append(ens.conditional_risk(base_fit, test))
-    sel, ora, base = map(lambda v: float(np.mean(v)), (selected, oracle, baseline))
+    data, _ = generate_ar1(n, p, 0.5, 1.0, np.random.SeedSequence((9, rep, 0)))
+    test, _ = generate_ar1(n, p, 0.5, 1.0, np.random.SeedSequence((9, rep, 1)))
+    path = []
+    for k in grid:
+        fit = ens.ensemble_fit(data, k, M, 0.0, seed=rep)
+        path.append((k, ens.gcv(fit, data).value,
+                     ens.conditional_risk(fit, test)))
+    k_hat, _, _ = min(path, key=lambda t: (t[1], t[0]))
+    selected = next(r for k, _, r in path if k == k_hat)
+    oracle = min(r for _, _, r in path)
+    _, _, base_fit = tune_lambda(data, lam_grid)
+    return selected, oracle, ens.conditional_risk(base_fit, test)
+
+
+def criterion_tuning_end_to_end():
+    """GCV subsample tuning tracks the oracle and the tuned-ridge baseline."""
+    from ._worker import map_in_workers
+
+    risks = map_in_workers(_tuning_replicate, range(10))
+    sel, ora, base = (float(np.mean(column)) for column in zip(*risks))
     ok = abs(sel - ora) <= 0.05 * ora and abs(sel - base) <= 0.05 * base
     return ok, (
         f"mean test risk: selected {sel:.4f}, grid oracle {ora:.4f}, "

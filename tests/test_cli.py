@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subridge import ar1_model, generate_ar1, isotropic_model, risk_surface
+from subridge import _worker, ar1_model, generate_ar1, isotropic_model, risk_surface
 from subridge import ensemble as ens
 from subridge.cli import (
     TIDY_COLUMNS,
@@ -24,6 +24,15 @@ from subridge.cli import (
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def module_env(**overrides):
+    """The environment for `python -m subridge` on this checkout's sources."""
+    env = dict(os.environ, **overrides)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
 
 
 class TestTheorySurface:
@@ -168,6 +177,42 @@ class TestSim:
             assert run_cli(["sim", "--config", cfg, "--out-dir", out]) == 0
             blobs.append((out / "sim_tidy.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(self.CONFIG.replace("reps = 2", "reps = 4"))
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_worker, "_usable_cpus", lambda: workers)
+            out = tmp_path / f"w{workers}"
+            assert run_cli(["sim", "--config", cfg, "--out-dir", out]) == 0
+            manifest = json.loads((out / "sim_manifest.json").read_text())
+            assert manifest["workers"] == workers
+            assert manifest["blas_threads_per_worker"] == 1
+            assert [t["rep"] for t in manifest["replicate_seconds"]] == [0, 1, 2, 3]
+            outputs.append([(out / name).read_bytes()
+                            for name in ("sim_tidy.csv", "sim_aggregate.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_same_bytes_for_any_caller_blas_threads(self, tmp_path):
+        # At p = 300, n = 600 a design drawn with two BLAS threads differs
+        # in the last bits from one drawn with one thread, and so does the
+        # theory's spectrum; every replicate and the theory run in workers
+        # with one BLAS thread, whatever the caller's setting.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("phi = 0.5\np = 300\nk_grid = 100,600\nlambda_grid = 0.1\n"
+                       "M_list = 2\nreps = 2\nmaster_seed = 4\n")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "subridge", "sim", "--config", str(cfg),
+                 "--out-dir", str(out)], capture_output=True, text=True,
+                timeout=120, env=module_env(OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("sim_tidy.csv", "sim_aggregate.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_tidy_header_and_nan_at_excluded_cell(self, tmp_path):
         # k = p at lambda = 0 sits on the excluded boundary: the theory
@@ -469,10 +514,7 @@ def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, command, flags,
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src), env.get("PYTHONPATH")]))
+    env = module_env()
     args = [str(a) for a in SURFACE_ARGS + ["--out-dir", tmp_path]]
     proc = subprocess.run([sys.executable, "-m", "subridge", *args],
                           cwd=tmp_path, env=env, capture_output=True, text=True,

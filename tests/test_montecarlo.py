@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,11 @@ from subridge import (
     generate_ar1,
     run_experiment,
 )
+from subridge import _worker
 from subridge import ensemble as ens
 from subridge import montecarlo as mc
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestGenerateAr1:
@@ -143,12 +150,40 @@ class TestRunExperiment:
         assert math.isnan(row["risk_theory"])
         assert math.isfinite(row["train_error"])
 
+    def test_rows_come_back_in_rep_order(self, monkeypatch):
+        monkeypatch.setattr(_worker, "_usable_cpus", lambda: 2)
+        result = run_experiment(small_config(reps=5))
+        assert [row["rep"] for row in result.rows] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+        assert result.workers == 2 and result.blas_threads_per_worker == 1
+        assert [t["rep"] for t in result.replicate_seconds] == [0, 1, 2, 3, 4]
+        assert all(t["fit_s"] > 0 and t["score_s"] > 0
+                   for t in result.replicate_seconds)
+
+    def test_script_without_main_guard_can_run_it(self, tmp_path):
+        # Workers start `python -m subridge._worker`, so the calling script
+        # is never imported again.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from subridge import SimConfig, run_experiment\n"
+            "config = SimConfig(phi=0.5, p=20, k_grid=(10,), lambda_grid=(0.1,),\n"
+            "                   M_list=(3,), reps=3)\n"
+            "print(len(run_experiment(config).rows))\n"
+        )
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, timeout=120, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "3\n"
+
+    # Monkeypatches do not reach worker processes, so the tests below patch
+    # the library and run one replicate in this process, as a worker does.
+
     def test_numerical_failure_is_recorded(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("singular")
 
         monkeypatch.setattr(ens, "ensemble_fit", fail)
-        rows = run_experiment(small_config(reps=1)).rows
+        rows, _, _ = mc._run_replicate(small_config(reps=1), 0)
         assert [row["error"] for row in rows] == ["LinAlgError"] * 2
         assert all(math.isnan(row["gcv"]) for row in rows)
 
@@ -158,7 +193,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(ens, "ensemble_fit", broken)
         with pytest.raises(TypeError, match="bug in a member solver"):
-            run_experiment(small_config(reps=1))
+            mc._run_replicate(small_config(reps=1), 0)
 
     def test_test_risk_is_conditional_risk_of_the_fit(self):
         # test_risk is scored after the training design is dropped, from
@@ -197,7 +232,7 @@ class TestRunExperiment:
             return original(data, coef, rows)
 
         monkeypatch.setattr(ens, "_mean_squared_residual", fail_on_test)
-        rows = run_experiment(small_config(reps=1)).rows
+        rows, _, _ = mc._run_replicate(small_config(reps=1), 0)
         assert [row["error"] for row in rows] == ["FloatingPointError"] * 2
         for row in rows:
             for column in ("gcv", "train_error", "oob_error", "test_risk"):
@@ -206,24 +241,27 @@ class TestRunExperiment:
     def test_one_design_alive_at_a_time(self):
         # A replicate holds one design plus one cell's scratch: the previous
         # replicate's designs are gone, the test draw waits for the training
-        # design to go, X is drawn in blocks, and the training error copies
-        # no rows of X. Two costs scale with the cell, not the design, and
-        # are kept small here: the out-of-bag error copies the rows left out
-        # of the union (about 40 rows at k = 3600, none at k = n), and the
-        # fit keeps M k member indices.
+        # design to go, X is drawn in blocks, and the training and
+        # out-of-bag errors copy no rows of X. One cost scales with the
+        # cell, not the design, and is kept small here: the fit keeps M k
+        # member indices. A worker runs its replicates one after another,
+        # as here.
         config = SimConfig(
             phi=0.05, p=200, k_grid=(3600, 4000), lambda_grid=(0.1,),
             M_list=(2,), reps=2, master_seed=3,
         )
         design_bytes = config.n * config.p * 8  # 6.4 MB; a draw block is 1 MB
-        run_experiment(config)  # first-use imports are not a replicate's memory
+        # First-use imports and the cached theory are not a replicate's memory.
+        mc._run_replicate(config, 0)
+        rows = []
         tracemalloc.start()
         try:
-            result = run_experiment(config)
+            for rep in range(config.reps):
+                rows += mc._run_replicate(config, rep)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(row["error"] == "" for row in result.rows)
+        assert all(row["error"] == "" for row in rows)
         assert peak < 1.6 * design_bytes
 
     def test_aggregate_shape(self):
