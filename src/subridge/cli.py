@@ -319,7 +319,7 @@ def cmd_tune(args) -> int:
 
     grid = subsample_grid(train.n, args.nu)
     result = tune_k(train, args.lam, grid, args.M, args.seed)
-    pred = ens.predict(result.fit, hold_X) + y_mu
+    pred = hold_X @ result.coef + y_mu
     holdout_mse = float(np.mean((hold_y - pred) ** 2))
 
     baseline_lam = baseline_gcv = baseline_mse = None
@@ -351,7 +351,13 @@ def cmd_tune(args) -> int:
         "data": args.data, "target": args.target, "lambda": args.lam,
         "M": args.M, "nu": args.nu, "holdout": args.holdout,
     }
-    _manifest(out, "tune", config, args.seed, [result_path, path_path], started)
+    _manifest(out, "tune", config, args.seed, [result_path, path_path], started,
+              workers=result.workers,
+              blas_threads_per_worker=result.blas_threads_per_worker,
+              grid_seconds=[
+                  {"k": k, "fit_s": round(seconds, 3)}
+                  for (k, _), seconds in zip(result.path, result.fit_seconds)
+              ])
     print(f"k_hat = {result.k_hat}, holdout MSE = {holdout_mse:.6g}"
           + (f", baseline MSE = {baseline_mse:.6g}" if baseline_mse is not None
              else ""))

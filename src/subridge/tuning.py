@@ -11,7 +11,9 @@ extrapolation between the sizes tuned with and without a penalty.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,16 +30,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TuneResult:
-    """Outcome of GCV subsample tuning."""
+    """Outcome of GCV subsample tuning, and how the grid was fitted: the
+    worker processes, the BLAS threads of each, and each grid size's fit
+    seconds (in path order) as timed in its worker."""
 
     k_hat: int
     gcv_at_k_hat: float
     path: tuple[tuple[int, float], ...]
     lam: float
     M: int
+    # The averaged coefficients of the ensemble at k_hat, so callers need
+    # not refit it.
+    coef: np.ndarray = field(compare=False, repr=False)
     degenerate_cells: tuple[int, ...] = field(default=())
-    # The ensemble fitted at k_hat, kept so callers need not refit it.
-    fit: ens.EnsembleFit | None = field(default=None, compare=False, repr=False)
+    workers: int = field(default=1, compare=False)
+    blas_threads_per_worker: int = field(default=1, compare=False)
+    fit_seconds: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
 
 def subsample_grid(n: int, nu: float = 0.5) -> list[int]:
@@ -54,29 +62,56 @@ def subsample_grid(n: int, nu: float = 0.5) -> list[int]:
     return grid
 
 
+def _tune_cell(data: ens.Dataset, lam: float, M: int, seed: int, k: int):
+    """Grid size k in this process: the GCV value of its ensemble, whether
+    the GCV denominator degenerated, the averaged coefficients, and the
+    seconds the fit and its GCV took. The members stay here."""
+    started = time.perf_counter()
+    fit = ens.ensemble_fit(data, k, M, lam, seed)
+    report = ens.gcv(fit, data)
+    return report.value, report.degenerate, fit.coef, time.perf_counter() - started
+
+
 def tune_k(
     data: ens.Dataset, lam: float, grid: list[int], M: int, seed: int
 ) -> TuneResult:
     """Select the subsample size minimizing GCV over the grid.
 
     Degenerate GCV denominators are kept in the path as +inf and flagged.
-    Ties break towards the smallest k. The result keeps the fit at k_hat.
+    Ties break towards the smallest k. The result keeps the averaged
+    coefficients of the ensemble at k_hat.
+
+    The grid sizes are fitted in worker processes, one per usable CPU and
+    at most one per size, each with one BLAS thread (`subridge._worker`):
+    the i-th smallest size goes to worker i mod W, and each size returns
+    only its GCV value, its degeneracy flag and its averaged coefficients.
+    Every size is computed under the same BLAS setting, so the result is
+    the same for any worker count, CPU count or caller BLAS thread setting.
+    The arguments are checked before any worker starts.
     """
-    path = []
-    degenerate = []
-    best = None  # (gcv, k, fit), compared as min() compares (gcv, k)
-    for k in sorted(set(grid)):
-        fit = ens.ensemble_fit(data, k, M, lam, seed)
-        report = ens.gcv(fit, data)
-        if report.degenerate:
-            degenerate.append(k)
-        path.append((k, report.value))
-        if best is None or (report.value, k) < best[:2]:
-            best = (report.value, k, fit)
-    gcv_hat, k_hat, fit_hat = best
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam must be finite and nonnegative")
+    if M < 1:
+        raise ValueError("M must be at least 1")
+    sizes = sorted(set(grid))
+    if not sizes:
+        raise ValueError("empty subsample grid")
+    if sizes[0] < 0 or sizes[-1] > data.n:
+        raise ValueError(f"subsample sizes must lie in [0, n] = [0, {data.n}]")
+    from ._worker import BLAS_THREADS, map_in_workers, worker_count
+
+    workers = worker_count(len(sizes))
+    cells = map_in_workers(partial(_tune_cell, data, lam, M, seed), sizes, workers)
+    values, degenerate, coefs, seconds = zip(*cells)
+    path = tuple(zip(sizes, values))
+    # min() compares (gcv, k), so ties go to the smallest k.
+    gcv_hat, k_hat = min((value, k) for k, value in path)
     return TuneResult(
-        k_hat=k_hat, gcv_at_k_hat=gcv_hat, path=tuple(path),
-        lam=lam, M=M, degenerate_cells=tuple(degenerate), fit=fit_hat,
+        k_hat=k_hat, gcv_at_k_hat=gcv_hat, path=path, lam=lam, M=M,
+        coef=coefs[sizes.index(k_hat)],
+        degenerate_cells=tuple(k for k, flag in zip(sizes, degenerate) if flag),
+        workers=workers, blas_threads_per_worker=BLAS_THREADS,
+        fit_seconds=seconds,
     )
 
 

@@ -314,8 +314,9 @@ class TestTune:
         assert [result["k_hat"], result["gcv_at_k_hat"]] in result["path"]
 
     def test_fits_each_ensemble_once(self, tmp_path, monkeypatch):
-        # The holdout predictions reuse tune_k's fit at k_hat and
+        # The holdout predictions reuse tune_k's coefficients at k_hat and
         # tune_lambda's baseline fit: one ensemble per grid point, no refit.
+        # The grid is mapped in this process so that the fits are counted.
         fitted = []
         original = ens.ensemble_fit
 
@@ -324,6 +325,8 @@ class TestTune:
             return original(data, k, M, lam, seed)
 
         monkeypatch.setattr(ens, "ensemble_fit", counted)
+        monkeypatch.setattr(_worker, "map_in_workers",
+                            lambda fn, items, workers=None: [fn(i) for i in items])
         csv_path = tmp_path / "data.csv"
         write_dataset_csv(csv_path)
         rc = run_cli([
@@ -333,6 +336,67 @@ class TestTune:
         assert rc == 0
         result = json.loads((tmp_path / "tune_result.json").read_text())
         assert fitted == [(k, 5) for k, _ in result["path"]]
+
+    def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path)
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_worker, "_usable_cpus", lambda: workers)
+            out = tmp_path / f"w{workers}"
+            assert run_cli(["tune", "--data", csv_path, "--target", "target",
+                            "--M", 3, "--seed", 2, "--out-dir", out]) == 0
+            manifest = json.loads((out / "tune_manifest.json").read_text())
+            result = json.loads((out / "tune_result.json").read_text())
+            assert manifest["workers"] == workers
+            assert manifest["blas_threads_per_worker"] == 1
+            assert [t["k"] for t in manifest["grid_seconds"]] == [
+                k for k, _ in result["path"]]
+            outputs.append([(out / name).read_bytes()
+                            for name in ("tune_path.csv", "tune_result.json")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_same_bytes_for_any_caller_blas_threads(self, tmp_path):
+        # At n = 600, p = 100 (300 training rows), the grid sizes near p
+        # fitted in the caller's process differ in the last bits between
+        # one and two BLAS threads: k = 102 gave GCV 41.370691662347845
+        # with one and 41.370691662385774 with two, and k = 119 and 153
+        # differed too. Every size is fitted in a worker with one BLAS
+        # thread, whatever the caller's setting. The baseline fields and
+        # the holdout error are computed in the caller, under its setting.
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path, n=600, p=100)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "subridge", "tune", "--data", str(csv_path),
+                 "--target", "target", "--M", "2", "--seed", "1", "--no-baseline",
+                 "--out-dir", str(out)], capture_output=True, text=True,
+                timeout=120, env=module_env(OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            result = json.loads((out / "tune_result.json").read_text())
+            outputs.append(((out / "tune_path.csv").read_bytes(),
+                            result["k_hat"], result["gcv_at_k_hat"]))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--M", 0], "M must be at least 1"),
+        (["--lambda", "nan"], "lam must be finite and nonnegative"),
+    ], ids=["M-0", "lambda-nan"])
+    def test_bad_number_rejected_before_any_worker(self, tmp_path, capsys,
+                                                   monkeypatch, flags, message):
+        def no_workers(fn, items, workers=None):
+            raise AssertionError("tune_k started workers")
+
+        monkeypatch.setattr(_worker, "map_in_workers", no_workers)
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path, n=60, p=5)
+        rc = run_cli(["tune", "--data", csv_path, "--target", "target", *flags,
+                      "--out-dir", tmp_path / "out"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"subridge tune: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_constant_target_selects_null(self, tmp_path):
         csv_path = tmp_path / "flat.csv"

@@ -1,9 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from subridge import (
+    _worker,
     optimal_subsample,
     Dataset,
     ar1_model,
@@ -124,15 +126,38 @@ class TestTuneK:
         assert result.k_hat != 30
 
     def test_keeps_the_fit_at_k_hat(self):
+        # The coefficients at k_hat are those of a refit of the same
+        # ensemble in a worker, which runs the BLAS as tune_k's workers do.
         rng = np.random.default_rng(38)
         X = rng.standard_normal((80, 6))
         data = Dataset(X, X @ rng.standard_normal(6) + rng.standard_normal(80))
         result = tune_k(data, 0.0, [0, 20, 40, 80], M=3, seed=6)
         assert result.k_hat > 0
-        refit = ensemble_fit(data, result.k_hat, 3, 0.0, seed=6)
-        assert result.fit.k == result.k_hat and result.fit.M == 3
-        np.testing.assert_array_equal(result.fit.coef, refit.coef)
-        assert gcv(result.fit, data).value == result.gcv_at_k_hat
+        assert (result.k_hat, result.gcv_at_k_hat) in result.path
+        [refit] = _worker.map_in_workers(
+            partial(ensemble_fit, data, result.k_hat, 3, 0.0), [6])
+        np.testing.assert_array_equal(result.coef, refit.coef)
+        assert gcv(refit, data).value == result.gcv_at_k_hat
+
+    @pytest.mark.parametrize("lam, grid, M, message", [
+        (math.nan, [0, 10], 2, "lam must be finite and nonnegative"),
+        (-1.0, [0, 10], 2, "lam must be finite and nonnegative"),
+        (0.0, [0, 10], 0, "M must be at least 1"),
+        (0.0, [], 2, "empty subsample grid"),
+        (0.0, [-1, 10], 2, r"subsample sizes must lie in \[0, n\] = \[0, 30\]"),
+        (0.0, [0, 31], 2, r"subsample sizes must lie in \[0, n\] = \[0, 30\]"),
+    ], ids=["nan-lambda", "negative-lambda", "M-0", "empty-grid", "k-below-0",
+            "k-above-n"])
+    def test_rejects_bad_arguments_before_any_worker(self, monkeypatch, lam, grid,
+                                                     M, message):
+        def no_workers(fn, items, workers=None):
+            raise AssertionError("tune_k started workers")
+
+        monkeypatch.setattr(_worker, "map_in_workers", no_workers)
+        rng = np.random.default_rng(42)
+        data = Dataset(rng.standard_normal((30, 4)), rng.standard_normal(30))
+        with pytest.raises(ValueError, match=message):
+            tune_k(data, lam, grid, M=M, seed=0)
 
 
 class TestTuneLambda:
