@@ -39,6 +39,7 @@ from .risk import (
     optimal_lambda,
     optimal_subsample,
     risk_surface,
+    surface_nan_reasons,
     training_error_limit,
 )
 from .spectra import (
@@ -65,7 +66,8 @@ __all__ = [
     "ContourPoint", "RiskDecomposition", "asymptotic_risk",
     "contour_lambda_for_phis", "equivalence_path", "gcv_denominator_limit",
     "gcv_limit", "gcv_limit_finite_M", "inconsistency_gap", "optimal_lambda",
-    "optimal_subsample", "risk_surface", "training_error_limit",
+    "optimal_subsample", "risk_surface", "surface_nan_reasons",
+    "training_error_limit",
     "ModelSpec", "NullSignalError", "SingularCovarianceError",
     "SpectralMeasure", "ar1_covariance", "ar1_model", "empirical_spectrum",
     "isotropic_model", "signal_measure",

@@ -31,7 +31,13 @@ import numpy as np
 from . import __version__
 from . import ensemble as ens
 from .montecarlo import SimConfig, run_experiment
-from .risk import equivalence_path, optimal_lambda, optimal_subsample, risk_surface
+from .risk import (
+    equivalence_path,
+    optimal_lambda,
+    optimal_subsample,
+    risk_surface,
+    surface_nan_reasons,
+)
 from .spectra import ar1_model
 from .tuning import subsample_grid, tune_k, tune_lambda
 
@@ -113,6 +119,25 @@ def _parse_grid(text: str) -> np.ndarray:
     )
 
 
+def _parse_lambda_grid(text: str) -> np.ndarray:
+    """A `_parse_grid` grid of penalties, all nonnegative."""
+    grid = _parse_grid(text)
+    if grid[0] < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"expected nonnegative penalties, got {text!r}")
+    return grid
+
+
+def _parse_phis_grid(text: str) -> np.ndarray:
+    """A `_parse_grid` grid of subsample aspect ratios, all positive. One
+    below phi is valid and gives NaN cells."""
+    grid = _parse_grid(text)
+    if grid[0] <= 0.0:
+        raise argparse.ArgumentTypeError(
+            f"expected positive aspect ratios, got {text!r}")
+    return grid
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     items = {}
     try:
@@ -141,6 +166,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+NAN_REASON_TEXT = {
+    "phis_below_phi": "with phis < phi",
+    "excluded_boundary": "at the excluded lambda = 0, phis = 1",
+    "divergent_variance": "with divergent variance",
+}
+
+
 def cmd_theory_surface(args) -> int:
     started = time.perf_counter()
     model, _, _ = ar1_model(args.rho_ar1, p_ref=args.p_ref, sigma2=args.sigma2)
@@ -157,18 +189,20 @@ def cmd_theory_surface(args) -> int:
             for pt in equivalence_path(args.phi, phis_star, model, 11)
         ]
 
-    nan_cells = int(np.isnan(surface).sum())
-    if nan_cells:
-        print(
-            f"warning: {nan_cells} grid cell(s) outside the theory's domain "
-            "written as nan", file=sys.stderr,
-        )
+    nan_cells = surface_nan_reasons(args.phi, lam_grid, phis_grid, surface)
+    if any(nan_cells.values()):
+        reasons = ", ".join(f"{count} {NAN_REASON_TEXT[reason]}"
+                            for reason, count in nan_cells.items() if count)
+        print(f"warning: {sum(nan_cells.values())} grid cell(s) outside the "
+              f"theory's domain written as nan: {reasons}", file=sys.stderr)
 
     out = _out_dir(args)
     surface_path = out / "surface.csv"
+    phis_values = phis_grid.tolist()
     _write_csv(surface_path, ["lambda", "phis", "risk"], (
-        (lam, phis, surface[i, j])
-        for i, lam in enumerate(lam_grid) for j, phis in enumerate(phis_grid)
+        (lam, phis, risk)
+        for lam, row in zip(lam_grid.tolist(), surface.tolist())
+        for phis, risk in zip(phis_values, row)
     ))
     markers_path = out / "surface_markers.json"
     _write_json(markers_path, {
@@ -184,7 +218,7 @@ def cmd_theory_surface(args) -> int:
         "phis_grid": [float(v) for v in phis_grid],
     }
     _manifest(out, "theory-surface", config, None,
-              [surface_path, markers_path], started)
+              [surface_path, markers_path], started, nan_cells=nan_cells)
     return 0
 
 
@@ -375,7 +409,15 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    print(format_table(results))
+    if args.json:
+        print(json.dumps([
+            {"name": r.name, "passed": r.passed, "detail": r.detail,
+             "seconds": r.seconds,
+             **({"traceback": r.traceback} if r.traceback else {})}
+            for r in results
+        ], indent=2))
+    else:
+        print(format_table(results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -396,9 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_surface.add_argument("--sigma2", type=float, default=1.0)
     p_surface.add_argument("--p-ref", type=int, default=500,
                            help="dimension of the reference spectrum")
-    p_surface.add_argument("--lambda", dest="lam", type=_parse_grid, required=True,
-                           metavar="LO:HI:COUNT")
-    p_surface.add_argument("--phis", type=_parse_grid, required=True,
+    p_surface.add_argument("--lambda", dest="lam", type=_parse_lambda_grid,
+                           required=True, metavar="LO:HI:COUNT")
+    p_surface.add_argument("--phis", type=_parse_phis_grid, required=True,
                            metavar="LO:HI:COUNT")
     p_surface.add_argument("--out-dir", default=".")
     p_surface.set_defaults(func=cmd_theory_surface)
@@ -425,6 +467,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--only", action="append", metavar="NAME[,NAME...]",
                           help="restrict to the named criteria")
+    p_verify.add_argument("--json", action="store_true",
+                          help="print a JSON list with each criterion's name, "
+                               "passed, detail and seconds, and the traceback "
+                               "of one that raised")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

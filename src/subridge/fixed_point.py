@@ -9,8 +9,9 @@ theta = +inf. The continuously extended product ell = lam * v and the
 rescaled second moment v^2 * int r^2 (1 + v r)^-2 dH stay finite in every
 regime and are what downstream formulas consume.
 
-One Newton core solves a block of (lam, theta) cells at once; the scalar
-:func:`solve_v` runs it on a one-cell block.
+One Newton core solves a block of (lam, theta) cells at once, started at
+x = 0 or, per cell, from a point below its root; the scalar :func:`solve_v`
+runs it on a one-cell block and remembers the result on the measure.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ MAX_ITER = 200
 # cells x atoms doubles; unblocked, an 81 x 100 grid on a 500-atom spectrum
 # adds ~144 MB of peak memory, while blocks of 256 cells add none measurable.
 BLOCK_CELLS = 256
+# One-cell results solve_v keeps per measure; the oldest is dropped first.
+SOLVE_MEMO_SIZE = 1024
 
 
 class ExcludedBoundaryError(ValueError):
@@ -71,23 +74,32 @@ class FixedPointSolution:
         return math.isfinite(self.v)
 
 
-def _newton(lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure) -> np.ndarray:
-    """Roots of F(x) = lam x + theta int xr/(1+xr) dH - 1, one per cell.
+def _newton(
+    lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure,
+    x0: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """Roots of F(x) = lam x + theta int xr/(1+xr) dH - 1, one per cell, and
+    the number of cell-steps taken (the sum over steps of the active cells).
 
     F is increasing and concave with F(0) = -1, so Newton steps started at
-    x = 0 rise monotonically to the root; a cell is done once its step no
-    longer moves x forward, which happens when rounding reaches the root.
-    Cells must be regular: theta finite, and lam > 0 or theta > 1.
+    x = 0, or at any x0 with F(x0) <= 0, rise monotonically to the root; a
+    cell is done once its step no longer moves x forward, which happens when
+    rounding reaches the root. A start x0 that is not finite, or at which
+    F > 0, is replaced by 0. Cells must be regular: theta finite, and
+    lam > 0 or theta > 1.
 
     With q = 1/(1+xr), F(x) = x (lam + theta int r q dH) - 1 and
     F'(x) = lam + theta int r q^2 dH, so one (cells x atoms) buffer serves
     both integrals.
     """
     wr = H.weights * H.values
-    x = np.zeros(lam.shape)
+    seeded = x0 is not None
+    x = np.where(np.isfinite(x0), x0, 0.0) if seeded else np.zeros(lam.shape)
     active = np.arange(lam.size)
+    steps = 0
     for _ in range(MAX_ITER):
         xa, la, ta = x[active], lam[active], theta[active]
+        steps += active.size
         q = np.multiply.outer(xa, H.values)
         q += 1.0
         np.reciprocal(q, out=q)
@@ -95,6 +107,12 @@ def _newton(lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure) -> np.ndarra
         q *= q
         x_new = xa - F / (la + ta * (q @ wr))
         moved = x_new > xa
+        if seeded:
+            # A start above its root restarts from 0 on the next step.
+            above = F > 0.0
+            x_new[above] = 0.0
+            moved |= above
+            seeded = False
         x[active[moved]] = x_new[moved]
         active = active[moved]
         if not active.size:
@@ -117,7 +135,7 @@ def _newton(lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure) -> np.ndarra
             f"v = {float(x[i])!r} with residual {abs(lhs[i] - rhs[i]):.3e} at "
             f"lam = {float(lam[i])!r}, theta = {float(theta[i])!r}"
         )
-    return x
+    return x, steps
 
 
 def _scaled_second_moment(x: np.ndarray, H: SpectralMeasure) -> np.ndarray:
@@ -127,12 +145,14 @@ def _scaled_second_moment(x: np.ndarray, H: SpectralMeasure) -> np.ndarray:
 
 
 def _solve_block(
-    lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure
+    lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure,
+    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(v, ell, scaled second moment) for up to BLOCK_CELLS cells.
 
     Same conventions and errors as :func:`solve_v`; one offending cell
-    raises for the block.
+    raises for the block. x0, if given, holds a Newton start per cell (see
+    :func:`_newton`); the roots agree with a start at 0 to rounding.
     """
     if lam.size > BLOCK_CELLS:
         raise ValueError(f"a block holds at most {BLOCK_CELLS} cells")
@@ -151,7 +171,8 @@ def _solve_block(
     a_hat[interpolating] = 1.0
     regular = ~interpolating & (theta < math.inf)
     if regular.any():
-        x = _newton(lam[regular], theta[regular], H)
+        x, _ = _newton(lam[regular], theta[regular], H,
+                       None if x0 is None else x0[regular])
         v[regular] = x
         ell[regular] = lam[regular] * x
         a_hat[regular] = _scaled_second_moment(x, H)
@@ -164,11 +185,25 @@ def solve_v(lam: float, theta: float, H: SpectralMeasure) -> FixedPointSolution:
     Handles the boundary regimes: theta = +inf gives v = 0; lam = 0 with
     theta < 1 gives v = +inf with ell = 1 - theta; lam = 0 with theta = 1
     is excluded.
+
+    The result is remembered on H (the last SOLVE_MEMO_SIZE cells), keyed
+    by the bytes of (lam, theta) as the solver reads them, so a repeated
+    call returns what a fresh solve returns, bit for bit. A call that
+    raises is not remembered.
     """
-    v, ell, a_hat = _solve_block(np.array([lam], dtype=float),
-                                 np.array([theta], dtype=float), H)
-    return FixedPointSolution(lam, theta, v=float(v[0]), ell=float(ell[0]),
-                              scaled_second_moment=float(a_hat[0]))
+    lam_a = np.array([lam], dtype=float)
+    theta_a = np.array([theta], dtype=float)
+    key = lam_a.tobytes() + theta_a.tobytes()
+    memo = H._solves
+    values = memo.get(key)
+    if values is None:
+        v, ell, a_hat = _solve_block(lam_a, theta_a, H)
+        values = float(v[0]), float(ell[0]), float(a_hat[0])
+        if len(memo) >= SOLVE_MEMO_SIZE:
+            memo.pop(next(iter(memo)), None)
+        memo[key] = values
+    v, ell, a_hat = values
+    return FixedPointSolution(lam, theta, v=v, ell=ell, scaled_second_moment=a_hat)
 
 
 def _tilde_v_values(vartheta, a_hat):

@@ -130,8 +130,12 @@ class SimResult:
 
 @lru_cache(maxsize=8)
 def _ar1_cache(rho_ar1: float, p: int, sigma2: float):
+    """(model, Cholesky factor of the covariance, beta0). The model and
+    beta0 are ar1_model's cached spectrum; only the factor is computed
+    here."""
     model, cov, beta0 = ar1_model(rho_ar1, p_ref=p, sigma2=sigma2)
     chol = np.linalg.cholesky(cov)
+    chol.setflags(write=False)
     return model, chol, beta0
 
 

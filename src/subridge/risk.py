@@ -47,6 +47,7 @@ __all__ = [
     "optimal_lambda",
     "optimal_subsample",
     "risk_surface",
+    "surface_nan_reasons",
 ]
 
 # After a grid scan, the optimizers zoom in on the best point's bracket with
@@ -161,15 +162,20 @@ def asymptotic_risk(
 
 def _risk_cells(
     phi: float, lam: np.ndarray, phis: np.ndarray, model: ModelSpec,
-    M: float = math.inf,
-) -> np.ndarray:
-    """Risk per (lam, phis) cell of two 1-d arrays, NaN exactly where
-    :func:`asymptotic_risk` raises ValueError: phis below phi, the excluded
-    ridgeless point at aspect 1, or a divergent-variance regime. The fixed
-    point is solved in blocks of at most BLOCK_CELLS cells."""
+    M: float = math.inf, x0: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Risk and fixed-point root v per (lam, phis) cell of two 1-d arrays.
+
+    The risk is NaN exactly where :func:`asymptotic_risk` raises
+    ValueError: phis below phi, the excluded ridgeless point at aspect 1,
+    or a divergent-variance regime; v is NaN in the cells it did not solve.
+    The fixed point is solved in blocks of at most BLOCK_CELLS cells, with
+    Newton started from x0 where it is given (a point below each root, see
+    fixed_point._newton)."""
     risk = np.full(lam.shape, np.nan)
+    roots = np.full(lam.shape, np.nan)
     if not (phi > 0 and M >= 1):
-        return risk
+        return risk, roots
     valid = (phis >= phi) & (lam >= 0.0)
     null = valid & (np.isinf(phis) | np.isinf(lam))
     risk[null] = model.null_risk
@@ -177,12 +183,14 @@ def _risk_cells(
     for start in range(0, cells.size, BLOCK_CELLS):
         block = cells[start:start + BLOCK_CELLS]
         lam_b, phis_b = lam[block], phis[block]
-        v, _, a_hat = _solve_block(lam_b, phis_b, model.H)
+        v, _, a_hat = _solve_block(lam_b, phis_b, model.H,
+                                   None if x0 is None else x0[block])
+        roots[block] = v
         ok = 1.0 - phis_b * a_hat > 0.0
         bias, variance = _bias_variance(
             phi, phis_b[ok], M, a_hat[ok], _tilde_c_values(v[ok], model.G), model)
         risk[block[ok]] = model.sigma2 + bias + variance
-    return risk
+    return risk, roots
 
 
 def _denominator(ell: float, phi: float, phis: float) -> float:
@@ -338,7 +346,7 @@ def equivalence_path(
     t = np.linspace(0.0, 1.0, num)
     lam = (1.0 - t) * lam_bar
     phis = phi + t * (phis_bar - phi)
-    risk = _risk_cells(phi, lam, phis, model)
+    risk, _ = _risk_cells(phi, lam, phis, model)
     return [ContourPoint(*map(float, cell)) for cell in zip(t, lam, phis, risk)]
 
 
@@ -368,7 +376,7 @@ def optimal_lambda(phi: float, phis: float, model: ModelSpec) -> tuple[float, fl
     _validate_aspects(0.0, phi, phis)
 
     def risk_at(lam):
-        return _risk_cells(phi, lam, np.full(lam.shape, float(phis)), model)
+        return _risk_cells(phi, lam, np.full(lam.shape, float(phis)), model)[0]
 
     grid = np.concatenate(([0.0], np.logspace(-6, 4, 81)))
     if phis == 1.0:
@@ -386,7 +394,7 @@ def optimal_subsample(lam: float, phi: float, model: ModelSpec) -> tuple[float, 
     _validate_aspects(lam, phi, phi)
 
     def risk_at(phis):
-        return _risk_cells(phi, np.full(phis.shape, float(lam)), phis, model)
+        return _risk_cells(phi, np.full(phis.shape, float(lam)), phis, model)[0]
 
     grid = np.geomspace(max(phi, 1e-8), 1e4, 161)
     if lam == 0.0:
@@ -412,9 +420,35 @@ def risk_surface(
     """Risk on the product grid, shaped (len(lam_grid), len(phis_grid)).
 
     Grid points outside the theory's domain are NaN rather than raising,
-    as in :func:`_risk_cells`.
+    as in :func:`_risk_cells`. The grid is solved one distinct lam column at
+    a time in decreasing lam: v(-lam; theta) decreases in lam, so each
+    column's roots lie below the next column's and start its Newton steps
+    there. A repeated lam repeats its column.
     """
-    lam = np.asarray(lam_grid, dtype=float)
-    phis = np.asarray(phis_grid, dtype=float)
-    lam_cells, phis_cells = (a.ravel() for a in np.meshgrid(lam, phis, indexing="ij"))
-    return _risk_cells(phi, lam_cells, phis_cells, model, M).reshape(lam.size, phis.size)
+    lam = np.ravel(np.asarray(lam_grid, dtype=float))
+    phis = np.ravel(np.asarray(phis_grid, dtype=float))
+    columns, column_of = np.unique(lam, return_inverse=True)  # NaN last
+    surface = np.empty((columns.size, phis.size))
+    roots = None
+    for i in range(columns.size - 1, -1, -1):
+        surface[i], roots = _risk_cells(
+            phi, np.full(phis.size, columns[i]), phis, model, M, x0=roots)
+    return surface[column_of]
+
+
+def surface_nan_reasons(
+    phi: float, lam_grid: np.ndarray, phis_grid: np.ndarray, surface: np.ndarray
+) -> dict[str, int]:
+    """Count of the NaN cells of a :func:`risk_surface` by reason, for
+    lam >= 0: phis below phi, the excluded ridgeless point at aspect 1, and
+    (every other NaN cell) a divergent variance."""
+    lam = np.asarray(lam_grid, dtype=float)[:, None]
+    phis = np.asarray(phis_grid, dtype=float)[None, :]
+    nan = np.isnan(surface)
+    below = nan & (phis < phi)
+    excluded = nan & ~below & (lam == 0.0) & (phis == 1.0)
+    return {
+        "phis_below_phi": int(below.sum()),
+        "excluded_boundary": int(excluded.sum()),
+        "divergent_variance": int((nan & ~below & ~excluded).sum()),
+    }

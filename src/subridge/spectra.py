@@ -9,7 +9,9 @@ weighted sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +46,10 @@ class SpectralMeasure:
 
     values: np.ndarray
     weights: np.ndarray
+    # Memo of fixed_point.solve_v's one-cell results on this measure. It
+    # lives and dies with the instance, so no key can outlive its measure.
+    _solves: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -152,6 +158,25 @@ def ar1_covariance(rho_ar1: float, p: int) -> np.ndarray:
     return (rho_ar1 ** np.arange(p))[lags]
 
 
+# AR(1) spectra kept per process, keyed by (rho_ar1, p_ref). One entry
+# holds the p_ref x p_ref covariance (2 MB at p_ref = 500) and the measures.
+AR1_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=AR1_CACHE_SIZE)
+def _ar1_spectrum(rho_ar1: float, p_ref: int):
+    """(H, G, rho2, covariance, beta0) of the AR(1) model; the arrays are
+    read-only, since every caller shares them."""
+    cov = ar1_covariance(rho_ar1, p_ref)
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+    beta0 = eigvecs[:, -5:].sum(axis=1) / 5.0
+    H = SpectralMeasure(values=eigvals, weights=np.full(p_ref, 1.0 / p_ref))
+    G, rho2 = signal_measure(beta0, eigvecs, eigvals)
+    cov.setflags(write=False)
+    beta0.setflags(write=False)
+    return H, G, rho2, cov, beta0
+
+
 def ar1_model(
     rho_ar1: float, p_ref: int = 500, sigma2: float = 1.0
 ) -> tuple[ModelSpec, np.ndarray, np.ndarray]:
@@ -162,7 +187,10 @@ def ar1_model(
     H is the empirical eigenvalue law (p_ref atoms); G puts weight 1/5 on each
     of the five largest eigenvalues.
 
-    Returns (model, covariance, beta0).
+    Returns (model, covariance, beta0). The spectrum is computed once per
+    (rho_ar1, p_ref) in a process (the last AR1_CACHE_SIZE pairs are kept),
+    so models that differ only in sigma2 share one H, G, covariance and
+    beta0; the returned arrays are read-only.
 
     Note: rho2 here is ||beta0||^2, the signal energy entering the risk
     formulas. A different convention measures signal strength by
@@ -173,13 +201,11 @@ def ar1_model(
     if p_ref < 5:
         raise ValueError("p_ref must be at least 5 (the signal spans five "
                          "eigenvectors)")
-    cov = ar1_covariance(rho_ar1, p_ref)
-    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
-    beta0 = eigvecs[:, -5:].sum(axis=1) / 5.0
-    H = SpectralMeasure(values=eigvals, weights=np.full(p_ref, 1.0 / p_ref))
-    G, rho2 = signal_measure(beta0, eigvecs, eigvals)
-    model = ModelSpec(H=H, G=G, rho2=rho2, sigma2=sigma2)
-    return model, cov, beta0
+    check_rho_ar1(rho_ar1)
+    # One key, and one float covariance, for rho_ar1 = 0, 0.0 and -0.0.
+    H, G, rho2, cov, beta0 = _ar1_spectrum(float(rho_ar1) + 0.0,
+                                           operator.index(p_ref))
+    return ModelSpec(H=H, G=G, rho2=rho2, sigma2=sigma2), cov, beta0
 
 
 def isotropic_model(rho2: float, sigma2: float) -> ModelSpec:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+    traceback: str | None = None  # the text of the exception it raised
 
 
 def _iso_atom():
@@ -389,13 +391,14 @@ def run_criteria(only=None) -> list[CriterionResult]:
     results = []
     for name in names:
         start = time.perf_counter()
+        trace = None
         try:
             passed, detail = REGISTRY[name]()
         except Exception as exc:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(
-            CriterionResult(name, passed, detail, time.perf_counter() - start)
-        )
+            trace = traceback.format_exc()
+        results.append(CriterionResult(
+            name, passed, detail, time.perf_counter() - start, trace))
     return results
 
 

@@ -18,6 +18,7 @@ from subridge.cli import (
     _atomic_write,
     _load_csv_dataset,
     _parse_csv,
+    _write_csv,
     main,
 )
 
@@ -133,6 +134,72 @@ class TestTheorySurface:
         assert (f"argument {flag}: expected `lo:hi:count` or a single number, "
                 f"got {grid!r}") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("flag, grid, message", [
+        ("--lambda", "-1:1:3", "expected nonnegative penalties"),
+        ("--lambda", "-0.5", "expected nonnegative penalties"),
+        ("--phis", "-2:4:3", "expected positive aspect ratios"),
+        ("--phis", "0:4:3", "expected positive aspect ratios"),
+        ("--phis", "0", "expected positive aspect ratios"),
+    ], ids=["negative-lambda-end", "negative-lambda", "negative-phis-end",
+            "zero-phis-end", "zero-phis"])
+    def test_grid_outside_the_domain_exits_2(self, tmp_path, capsys, flag, grid,
+                                             message):
+        grids = {"--lambda": "0.1", "--phis": "1:2:3", flag: grid}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["theory-surface", "--phi", 0.1, "--out-dir", tmp_path / "out"]
+                    + [f"{name}={value}" for name, value in grids.items()])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}, got {grid!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_cells_counted_by_reason(self, tmp_path, capsys):
+        # phi = 1 with rho = 0: phis = 1 - eps lies below phi (valid input,
+        # NaN cells), (0, 1) is the excluded boundary, and (0, 1 + eps) has
+        # a divergent variance (1 - phis * Ahat rounds to 0).
+        rc = run_cli([
+            "theory-surface", "--phi", 1, "--rho-ar1", 0, "--p-ref", 20,
+            "--lambda", "0:1:2",
+            "--phis", "0.9999999999999998:1.0000000000000002:3",
+            "--out-dir", tmp_path,
+        ])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: 4 grid cell(s) outside the theory's domain written as "
+            "nan: 2 with phis < phi, 1 at the excluded lambda = 0, phis = 1, "
+            "1 with divergent variance\n")
+        manifest = json.loads(
+            (tmp_path / "theory_surface_manifest.json").read_text())
+        assert manifest["nan_cells"] == {
+            "phis_below_phi": 2, "excluded_boundary": 1, "divergent_variance": 1}
+        rows = list(csv.DictReader(open(tmp_path / "surface.csv")))
+        assert [row["risk"] == "nan" for row in rows] == [
+            True, True, True, True, False, False]
+
+    def test_no_nan_cells_no_warning(self, tmp_path, capsys):
+        rc = run_cli(["theory-surface", "--phi", 0.5, "--lambda", "0.1:1:3",
+                      "--phis", "0.5:4:4", "--p-ref", 20, "--out-dir", tmp_path])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads(
+            (tmp_path / "theory_surface_manifest.json").read_text())
+        assert set(manifest["nan_cells"].values()) == {0}
+
+    def test_surface_csv_bytes_match_per_cell_formatting(self, tmp_path):
+        # The rows are built from .tolist() values; numpy scalars formatted
+        # cell by cell give the same bytes.
+        lam, phis = np.linspace(0, 2, 9), np.linspace(0.1, 10, 12)
+        rc = run_cli(["theory-surface", "--phi", 0.1, "--lambda", "0:2:9",
+                      "--phis", "0.1:10:12", "--p-ref", 60, "--out-dir", tmp_path])
+        assert rc == 0
+        model, _, _ = ar1_model(0.5, p_ref=60, sigma2=1.0)
+        surface = risk_surface(0.1, lam, phis, model)
+        expected = tmp_path / "expected.csv"
+        _write_csv(expected, ["lambda", "phis", "risk"], (
+            (lam[i], phis[j], surface[i, j])
+            for i in range(lam.size) for j in range(phis.size)))
+        assert (tmp_path / "surface.csv").read_bytes() == expected.read_bytes()
 
 
 SIM_CONFIG_ERRORS = [
@@ -646,3 +713,30 @@ class TestVerify:
     def test_unknown_criterion(self, capsys):
         rc = run_cli(["verify", "--only", "no-such-check"])
         assert rc == 2
+
+    def test_json_output(self, capsys):
+        rc = run_cli(["verify", "--json", "--only", "fixed-point,risk-closed-forms"])
+        results = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert [r["name"] for r in results] == ["fixed-point", "risk-closed-forms"]
+        for r in results:
+            assert r.keys() == {"name", "passed", "detail", "seconds"}
+            assert r["passed"] is True and r["seconds"] >= 0.0
+
+    def test_json_carries_the_traceback_of_a_raising_criterion(self, capsys,
+                                                               monkeypatch):
+        from subridge import verify
+
+        def broken_criterion():
+            raise ZeroDivisionError("planted failure")
+
+        monkeypatch.setitem(verify.REGISTRY, "fixed-point", broken_criterion)
+        rc = run_cli(["verify", "--json", "--only", "fixed-point"])
+        (result,) = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert result["passed"] is False
+        assert result["detail"] == "raised ZeroDivisionError: planted failure"
+        assert result["traceback"].startswith("Traceback (most recent call last)")
+        assert "broken_criterion" in result["traceback"]
+        assert result["traceback"].rstrip().endswith(
+            "ZeroDivisionError: planted failure")

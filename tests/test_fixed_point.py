@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,10 +14,12 @@ from subridge import (
     tilde_c,
     tilde_v,
 )
+import subridge.fixed_point
 from subridge.fixed_point import (
     BLOCK_CELLS,
     RESIDUAL_TOL,
     FixedPointConvergenceError,
+    _newton,
     _solve_block,
 )
 
@@ -162,3 +165,84 @@ def test_non_finite_penalty_rejected():
     for lam in (math.inf, math.nan):
         with pytest.raises(ValueError):
             solve_v(lam, 2.0, ISO.H)
+
+
+# Every regime: interpolating (v = inf), ridgeless theta > 1, ridge on both
+# sides of aspect 1, theta = inf (v = 0), and a negative zero penalty.
+MEMO_CELLS = [(0.0, 0.5), (0.0, 2.0), (0.1, 0.5), (0.1, 3.0), (1.0, math.inf),
+              (-0.0, 2.0), (0, 2), (1e-9, 1.0)]
+
+
+def copy_measure(H):
+    return SpectralMeasure(values=H.values.copy(), weights=H.weights.copy())
+
+
+class TestSolveMemo:
+    H = SpectralMeasure(values=np.array([0.3, 1.0, 4.0]),
+                        weights=np.array([0.2, 0.5, 0.3]))
+
+    def test_warm_memo_equals_a_fresh_solve(self):
+        warm = copy_measure(self.H)
+        for lam, theta in MEMO_CELLS:
+            solve_v(lam, theta, warm)
+        assert len(warm._solves) == len(MEMO_CELLS) - 1  # 0 and 0.0 share
+        for lam, theta in MEMO_CELLS:
+            hit = solve_v(lam, theta, warm)
+            fresh = solve_v(lam, theta, copy_measure(self.H))
+            for field in dataclasses.fields(fresh):
+                got, want = getattr(hit, field.name), getattr(fresh, field.name)
+                assert got == want, (lam, theta, field.name)
+                assert type(got) is type(want)
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert len(warm._solves) == len(MEMO_CELLS) - 1
+
+    def test_excluded_boundary_raises_on_every_call(self):
+        H = copy_measure(self.H)
+        for _ in range(3):
+            with pytest.raises(ExcludedBoundaryError):
+                solve_v(0.0, 1.0, H)
+        assert H._solves == {}
+
+    def test_memo_size_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(subridge.fixed_point, "SOLVE_MEMO_SIZE", 8)
+        H = copy_measure(self.H)
+        thetas = np.geomspace(0.2, 20.0, 30)
+        for theta in thetas:
+            solve_v(0.1, float(theta), H)
+            assert len(H._solves) <= 8
+        assert len(H._solves) == 8
+        # The oldest cells were dropped; a dropped cell solves again.
+        first = solve_v(0.1, float(thetas[0]), H)
+        assert first == solve_v(0.1, float(thetas[0]), copy_measure(self.H))
+        assert len(H._solves) == 8
+
+    def test_memo_is_per_measure(self):
+        H1, H2 = copy_measure(self.H), copy_measure(self.H)
+        solve_v(0.1, 3.0, H1)
+        assert len(H1._solves) == 1 and H2._solves == {}
+        assert repr(H1) == repr(H2)  # the memo is not part of the value
+
+
+class TestSeededNewton:
+    H = SpectralMeasure(values=np.array([0.3, 1.0, 4.0]),
+                        weights=np.array([0.2, 0.5, 0.3]))
+    lam = np.array([0.0, 1e-6, 0.2, 3.0, 0.5])
+    theta = np.array([2.0, 0.7, 1.0, 40.0, 1.5])
+
+    def test_start_below_the_root_takes_fewer_steps(self):
+        cold, cold_steps = _newton(self.lam, self.theta, self.H)
+        seeded, seeded_steps = _newton(self.lam, self.theta, self.H, 0.5 * cold)
+        np.testing.assert_allclose(seeded, cold, rtol=4 * np.finfo(float).eps)
+        assert seeded_steps < cold_steps
+
+    def test_start_above_the_root_or_not_finite_restarts_from_zero(self):
+        cold, _ = _newton(self.lam, self.theta, self.H)
+        starts = np.array([2.0 * cold[0], math.inf, math.nan, 10.0 * cold[3], 0.0])
+        seeded, _ = _newton(self.lam, self.theta, self.H, starts)
+        np.testing.assert_allclose(seeded, cold, rtol=4 * np.finfo(float).eps)
+
+    def test_start_at_the_root_stays_there(self):
+        cold, cold_steps = _newton(self.lam, self.theta, self.H)
+        seeded, steps = _newton(self.lam, self.theta, self.H, cold)
+        np.testing.assert_allclose(seeded, cold, rtol=4 * np.finfo(float).eps)
+        assert steps < cold_steps

@@ -17,8 +17,11 @@ from subridge import (
     optimal_subsample,
     risk_surface,
     solve_v,
+    surface_nan_reasons,
     training_error_limit,
 )
+from subridge.fixed_point import BLOCK_CELLS
+from subridge.spectra import ModelSpec, SpectralMeasure
 
 ISO = isotropic_model(1.0, 1.0)
 AR1, _, _ = ar1_model(0.5, p_ref=200)
@@ -314,3 +317,96 @@ def test_two_member_training_error_matches_aspect_form():
         rinf = asymptotic_risk(lam, phi, phis, AR1).risk
         assert training_error_limit(lam, phi, phis, AR1, M=2) == pytest.approx(
             on_r1 * r1 + on_rinf * rinf, rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [1, 2, math.inf])
+def test_seeded_surface_matches_scalar_risk_cell_by_cell(M):
+    # Unsorted lam with duplicates, lam = 0 next to interpolating cells
+    # (phis < 1), and a phis grid longer than one solver block, so each lam
+    # column is solved in two blocks seeded from the previous column.
+    phi = 0.3
+    lam_grid = np.array([0.7, 0.0, 0.05, 0.7, 4.0, 1e-6, 0.05, math.inf])
+    phis_grid = np.concatenate(([0.1, 0.5, 0.8, 1.0, math.inf],
+                                np.geomspace(phi, 30.0, BLOCK_CELLS + 40)))
+    surface = risk_surface(phi, lam_grid, phis_grid, AR1, M=M)
+    for i, lam in enumerate(lam_grid):
+        for j, phis in enumerate(phis_grid):
+            try:
+                want = asymptotic_risk(lam, phi, phis, AR1, M=M).risk
+            except ValueError:
+                assert np.isnan(surface[i, j]), (lam, phis)
+                continue
+            assert surface[i, j] == pytest.approx(want, rel=1e-12, abs=0.0), (lam, phis)
+    # phis = 0.1 < phi in every column, and the excluded cell at lam = 0.
+    assert np.isnan(surface).sum() == lam_grid.size + 1
+    np.testing.assert_array_equal(surface[0], surface[3])
+
+
+def test_seeded_surface_takes_fewer_newton_steps(monkeypatch):
+    import subridge.fixed_point
+
+    newton = subridge.fixed_point._newton
+    steps = []
+
+    def counting(*args, **kwargs):
+        x, taken = newton(*args, **kwargs)
+        steps.append(taken)
+        return x, taken
+
+    monkeypatch.setattr(subridge.fixed_point, "_newton", counting)
+    phi = 0.1
+    lam, phis = np.linspace(0.0, 2.0, 81), np.linspace(phi, 10.0, 100)
+    seeded = risk_surface(phi, lam, phis, AR1)
+    seeded_steps = sum(steps)
+    steps.clear()
+    lam_cells, phis_cells = (a.ravel() for a in np.meshgrid(lam, phis, indexing="ij"))
+    cold, _ = subridge.risk._risk_cells(phi, lam_cells, phis_cells, AR1)
+    cold_steps = sum(steps)
+    np.testing.assert_allclose(seeded.ravel(), cold, rtol=1e-12, atol=0.0)
+    assert seeded_steps < cold_steps
+
+
+def test_surface_nan_reasons_count_each_reason():
+    # phi = 1 on AR(1) rho = 0 (20 atoms at 1): phis = 1 - eps lies below
+    # phi, (0, 1) is the excluded boundary, and at (0, 1 + eps) the self
+    # variance's denominator 1 - phis * Ahat rounds to 0.
+    model, _, _ = ar1_model(0.0, p_ref=20)
+    eps = np.finfo(float).eps
+    lam, phis = np.array([0.0, 1.0]), np.array([1.0 - eps, 1.0, 1.0 + eps])
+    surface = risk_surface(1.0, lam, phis, model)
+    assert surface_nan_reasons(1.0, lam, phis, surface) == {
+        "phis_below_phi": 2, "excluded_boundary": 1, "divergent_variance": 1}
+    assert np.isfinite(surface[1, 1:]).all()
+
+
+def fresh_model(model):
+    """An equal model on a new measure, so solve_v's memo starts empty."""
+    H = SpectralMeasure(values=model.H.values.copy(), weights=model.H.weights.copy())
+    return ModelSpec(H=H, G=model.G, rho2=model.rho2, sigma2=model.sigma2)
+
+
+def test_memoized_limits_are_bit_identical_to_cold_ones():
+    rng = np.random.default_rng(13)
+    points = random_tuples(rng, 20)
+    warm = fresh_model(AR1)
+    for _ in range(2):  # the second pass reads every solve from the memo
+        for lam, phi, phis in points:
+            for M in (1, 2, 5, math.inf):
+                cold = fresh_model(AR1)
+                assert (asymptotic_risk(lam, phi, phis, warm, M=M)
+                        == asymptotic_risk(lam, phi, phis, cold, M=M))
+                got = gcv_limit_finite_M(lam, phi, phis, warm, M=M)
+                want = gcv_limit_finite_M(lam, phi, phis, fresh_model(AR1), M=M)
+                assert got.hex() == want.hex()
+    assert len(warm.H._solves) == len(points)
+
+
+def test_ridgeless_single_member_gcv_limit_keeps_the_recorded_zero():
+    # Held defect (CHANGES.md FOUND): ell = 0 zeroes the numerator while the
+    # denominator is ~1e-32, not 0, so the M = 1 limit is 0.0, not R_1. The
+    # benchmark's recorded theory reference holds these zeros.
+    model, _, _ = ar1_model(0.5, p_ref=500)
+    phis = float(np.geomspace(0.1, 10.0, 50)[25])
+    assert phis > 1.0
+    for _ in range(2):
+        assert gcv_limit_finite_M(0.0, 0.1, phis, model, M=1) == 0.0

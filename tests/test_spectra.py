@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from subridge import spectra
 from subridge import (
     NullSignalError,
     SpectralMeasure,
@@ -98,6 +99,41 @@ def test_ar1_model_signal_energy():
     assert model.rho2 == pytest.approx(0.2)
     e = np.linalg.eigvalsh(cov)
     assert model.G.support[0] >= e[-5] - 1e-12
+
+
+def test_ar1_model_arrays_are_read_only_and_shared_across_sigma2():
+    model1, cov1, beta1 = ar1_model(0.5, p_ref=40, sigma2=1.0)
+    model2, cov2, beta2 = ar1_model(0.5, p_ref=40, sigma2=2.5)
+    assert (model1.sigma2, model2.sigma2) == (1.0, 2.5)
+    assert model1.H is model2.H and model1.G is model2.G
+    assert cov1 is cov2 and beta1 is beta2
+    for array in (cov1, beta1, model1.H.values, model1.H.weights,
+                  model1.G.values, model1.G.weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_ar1_model_cache_is_bit_identical_to_a_fresh_spectrum():
+    model, cov, beta0 = ar1_model(0.3, p_ref=50)
+    H, G, rho2, fresh_cov, fresh_beta0 = spectra._ar1_spectrum.__wrapped__(0.3, 50)
+    assert H is not model.H
+    for got, want in ((model.H.values, H.values), (model.H.weights, H.weights),
+                      (model.G.values, G.values), (model.G.weights, G.weights),
+                      (cov, fresh_cov), (beta0, fresh_beta0)):
+        assert got.tobytes() == want.tobytes()
+    assert model.rho2 == rho2
+
+
+def test_ar1_model_cache_is_bounded_and_keys_rho_zero_once():
+    for p_ref in range(10, 10 + 2 * spectra.AR1_CACHE_SIZE):
+        ar1_model(0.4, p_ref=p_ref)
+    info = spectra._ar1_spectrum.cache_info()
+    assert info.maxsize == spectra.AR1_CACHE_SIZE
+    assert info.currsize <= spectra.AR1_CACHE_SIZE
+    model, cov, _ = ar1_model(0, p_ref=12)
+    assert ar1_model(-0.0, p_ref=12)[0].H is ar1_model(0.0, p_ref=12)[0].H is model.H
+    assert cov.dtype == float and np.signbit(cov).sum() == 0
 
 
 def test_null_risk():
