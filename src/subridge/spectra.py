@@ -201,7 +201,6 @@ def ar1_model(
     if p_ref < 5:
         raise ValueError("p_ref must be at least 5 (the signal spans five "
                          "eigenvectors)")
-    check_rho_ar1(rho_ar1)
     # One key, and one float covariance, for rho_ar1 = 0, 0.0 and -0.0.
     H, G, rho2, cov, beta0 = _ar1_spectrum(float(rho_ar1) + 0.0,
                                            operator.index(p_ref))

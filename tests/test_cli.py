@@ -135,7 +135,6 @@ class TestTheorySurface:
                 f"got {grid!r}") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-
     @pytest.mark.parametrize("flag, grid, message", [
         ("--lambda", "-1:1:3", "expected nonnegative penalties"),
         ("--lambda", "-0.5", "expected nonnegative penalties"),
@@ -155,14 +154,13 @@ class TestTheorySurface:
         assert not (tmp_path / "out").exists()
 
     def test_nan_cells_counted_by_reason(self, tmp_path, capsys):
-        # phi = 1 with rho = 0: phis = 1 - eps lies below phi (valid input,
-        # NaN cells), (0, 1) is the excluded boundary, and (0, 1 + eps) has
-        # a divergent variance (1 - phis * Ahat rounds to 0).
+        # rho = 0 and p_ref = 8: eight atoms at 1, weight 1/8 each. phis =
+        # 0.25 lies below phi (valid input, NaN cells), (0, 1) is the
+        # excluded boundary, and (1e-300, 1) has a divergent variance
+        # (Ahat rounds to 1).
         rc = run_cli([
-            "theory-surface", "--phi", 1, "--rho-ar1", 0, "--p-ref", 20,
-            "--lambda", "0:1:2",
-            "--phis", "0.9999999999999998:1.0000000000000002:3",
-            "--out-dir", tmp_path,
+            "theory-surface", "--phi", 0.5, "--rho-ar1", 0, "--p-ref", 8,
+            "--lambda", "0:1e-300:2", "--phis", "0.25:1:4", "--out-dir", tmp_path,
         ])
         assert rc == 0
         assert capsys.readouterr().err == (
@@ -175,7 +173,7 @@ class TestTheorySurface:
             "phis_below_phi": 2, "excluded_boundary": 1, "divergent_variance": 1}
         rows = list(csv.DictReader(open(tmp_path / "surface.csv")))
         assert [row["risk"] == "nan" for row in rows] == [
-            True, True, True, True, False, False]
+            True, False, False, True, True, False, False, True]
 
     def test_no_nan_cells_no_warning(self, tmp_path, capsys):
         rc = run_cli(["theory-surface", "--phi", 0.5, "--lambda", "0.1:1:3",

@@ -20,7 +20,7 @@ from subridge import (
     surface_nan_reasons,
     training_error_limit,
 )
-from subridge.fixed_point import BLOCK_CELLS
+from subridge.fixed_point import BLOCK_CELLS, DivergentVarianceError
 from subridge.spectra import ModelSpec, SpectralMeasure
 
 ISO = isotropic_model(1.0, 1.0)
@@ -367,16 +367,17 @@ def test_seeded_surface_takes_fewer_newton_steps(monkeypatch):
 
 
 def test_surface_nan_reasons_count_each_reason():
-    # phi = 1 on AR(1) rho = 0 (20 atoms at 1): phis = 1 - eps lies below
-    # phi, (0, 1) is the excluded boundary, and at (0, 1 + eps) the self
-    # variance's denominator 1 - phis * Ahat rounds to 0.
-    model, _, _ = ar1_model(0.0, p_ref=20)
-    eps = np.finfo(float).eps
-    lam, phis = np.array([0.0, 1.0]), np.array([1.0 - eps, 1.0, 1.0 + eps])
-    surface = risk_surface(1.0, lam, phis, model)
-    assert surface_nan_reasons(1.0, lam, phis, surface) == {
+    # phis = 0.25 lies below phi = 0.5, (0, 1) is the excluded boundary,
+    # and at (1e-300, 1) v ~ 1.8e16 makes Ahat round to 1, so the self
+    # variance's denominator 1 - phis * Ahat is 0. One atom keeps every
+    # integral a single product, so the rounding is the same everywhere.
+    lam, phis = np.linspace(0.0, 1e-300, 2), np.linspace(0.25, 1.0, 4)
+    surface = risk_surface(0.5, lam, phis, ISO)
+    assert surface_nan_reasons(0.5, lam, phis, surface) == {
         "phis_below_phi": 2, "excluded_boundary": 1, "divergent_variance": 1}
-    assert np.isfinite(surface[1, 1:]).all()
+    with pytest.raises(DivergentVarianceError):
+        asymptotic_risk(1e-300, 0.5, 1.0, ISO)
+    assert np.isfinite(surface[:, 1:3]).all()
 
 
 def fresh_model(model):
