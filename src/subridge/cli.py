@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from . import ensemble as ens
+from .fixed_point import newton_counts
 from .montecarlo import SimConfig, run_experiment
 from .risk import (
     equivalence_path,
@@ -68,9 +69,11 @@ AGG_COLUMNS = [
 ]
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    """A header row, then one row per sequence of cells: a float as
-    `repr(float(v))`, anything else as `str(v)`."""
+def _write_csv(path: Path, columns, rows=(), chunks=()) -> None:
+    """A header row, then one row per sequence of cells in `rows` (a float as
+    `repr(float(v))`, anything else as `str(v)`, quoted where csv needs it),
+    then each text of `chunks`: whole rows already formatted so, from
+    numeric cells, which need no quoting."""
     def write(tmp):
         with open(tmp, "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -79,7 +82,18 @@ def _write_csv(path: Path, columns, rows) -> None:
                 [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
                 for row in rows
             )
+            fh.writelines(chunks)
     _atomic_write(path, write)
+
+
+def _surface_chunks(lam_grid: np.ndarray, phis_grid: np.ndarray,
+                    surface: np.ndarray):
+    """surface.csv's (lambda, phis, risk) rows as `_write_csv` chunks, one
+    per lambda. Each lambda and phis is formatted once, each risk once."""
+    phis_text = [f",{phis!r}," for phis in phis_grid.tolist()]
+    for lam, risks in zip(map(repr, lam_grid.tolist()), surface.tolist()):
+        yield "".join([lam + phis + risk + "\n"
+                       for phis, risk in zip(phis_text, map(repr, risks))])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -179,7 +193,9 @@ def cmd_theory_surface(args) -> int:
     lam_grid, phis_grid = args.lam, args.phis
     # Everything is computed before the first output is written, so a
     # rejected argument leaves no partial output behind.
+    before = newton_counts()
     surface = risk_surface(args.phi, lam_grid, phis_grid, model)
+    after_surface = newton_counts()
     phis_star, r_sub = optimal_subsample(0.0, args.phi, model)
     lam_star, r_lam = optimal_lambda(args.phi, args.phi, model)
     segment = []
@@ -188,6 +204,12 @@ def cmd_theory_surface(args) -> int:
             {"t": pt.t, "lambda": pt.lam, "phis": pt.phis, "risk": pt.risk}
             for pt in equivalence_path(args.phi, phis_star, model, 11)
         ]
+    # The Newton core's work for each output file.
+    fixed_point = {
+        name: {key: end[key] - start[key] for key in end}
+        for name, start, end in (("surface", before, after_surface),
+                                 ("markers", after_surface, newton_counts()))
+    }
 
     nan_cells = surface_nan_reasons(args.phi, lam_grid, phis_grid, surface)
     if any(nan_cells.values()):
@@ -198,12 +220,8 @@ def cmd_theory_surface(args) -> int:
 
     out = _out_dir(args)
     surface_path = out / "surface.csv"
-    phis_values = phis_grid.tolist()
-    _write_csv(surface_path, ["lambda", "phis", "risk"], (
-        (lam, phis, risk)
-        for lam, row in zip(lam_grid.tolist(), surface.tolist())
-        for phis, risk in zip(phis_values, row)
-    ))
+    _write_csv(surface_path, ["lambda", "phis", "risk"],
+               chunks=_surface_chunks(lam_grid, phis_grid, surface))
     markers_path = out / "surface_markers.json"
     _write_json(markers_path, {
         "phi": args.phi,
@@ -218,7 +236,8 @@ def cmd_theory_surface(args) -> int:
         "phis_grid": [float(v) for v in phis_grid],
     }
     _manifest(out, "theory-surface", config, None,
-              [surface_path, markers_path], started, nan_cells=nan_cells)
+              [surface_path, markers_path], started, nan_cells=nan_cells,
+              fixed_point=fixed_point)
     return 0
 
 

@@ -12,6 +12,7 @@ regime and are what downstream formulas consume.
 One Newton core solves a block of (lam, theta) cells at once, started at
 x = 0 or, per cell, from a point below its root; the scalar :func:`solve_v`
 runs it on a one-cell block and remembers the result on the measure.
+:func:`newton_counts` reports the core's work in the process.
 """
 
 from __future__ import annotations
@@ -74,6 +75,17 @@ class FixedPointSolution:
         return math.isfinite(self.v)
 
 
+_NEWTON_COUNTS = {"blocks": 0, "cells": 0, "cell_steps": 0, "seed_restarts": 0}
+
+
+def newton_counts() -> dict[str, int]:
+    """The Newton core's work so far in this process: blocks solved, cells,
+    cell-steps (active cells summed over steps) and seeded starts that lay
+    above their root and restarted from 0. A caller reads its own work as
+    the change between two calls."""
+    return dict(_NEWTON_COUNTS)
+
+
 def _newton(
     lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure,
     x0: np.ndarray | None = None,
@@ -88,22 +100,26 @@ def _newton(
     F > 0, is replaced by 0. Cells must be regular: theta finite, and
     lam > 0 or theta > 1.
 
-    With q = 1/(1+xr), F(x) = x (lam + theta int r q dH) - 1 and
+    With q = 1/(1+xr), F(x) = x s - 1 with s = lam + theta int r q dH, and
     F'(x) = lam + theta int r q^2 dH, so one (cells x atoms) buffer serves
-    both integrals.
+    both integrals. The step at which a cell stops evaluates s at its final
+    x, which is the right-hand side of 1/v = s that the RESIDUAL_TOL check
+    compares with 1/x.
     """
     wr = H.weights * H.values
     seeded = x0 is not None
     x = np.where(np.isfinite(x0), x0, 0.0) if seeded else np.zeros(lam.shape)
+    rhs = np.empty(lam.shape)
     active = np.arange(lam.size)
-    steps = 0
+    steps = restarts = 0
     for _ in range(MAX_ITER):
         xa, la, ta = x[active], lam[active], theta[active]
         steps += active.size
         q = np.multiply.outer(xa, H.values)
         q += 1.0
         np.reciprocal(q, out=q)
-        F = xa * (la + ta * (q @ wr)) - 1.0
+        s = la + ta * (q @ wr)
+        F = xa * s - 1.0
         q *= q
         x_new = xa - F / (la + ta * (q @ wr))
         moved = x_new > xa
@@ -112,12 +128,18 @@ def _newton(
             above = F > 0.0
             x_new[above] = 0.0
             moved |= above
+            restarts = int(np.count_nonzero(above))
             seeded = False
         x[active[moved]] = x_new[moved]
+        rhs[active[~moved]] = s[~moved]
         active = active[moved]
         if not active.size:
             break
-    else:
+    _NEWTON_COUNTS["blocks"] += 1
+    _NEWTON_COUNTS["cells"] += lam.size
+    _NEWTON_COUNTS["cell_steps"] += steps
+    _NEWTON_COUNTS["seed_restarts"] += restarts
+    if active.size:
         i = active[0]
         raise FixedPointConvergenceError(
             f"Newton still moving after {MAX_ITER} steps at "
@@ -125,7 +147,6 @@ def _newton(
         )
 
     lhs = 1.0 / x
-    rhs = lam + theta * ((1.0 / (1.0 + np.multiply.outer(x, H.values))) @ wr)
     # A root beyond the float range overflows to x = inf with residual 0.
     small = np.abs(lhs - rhs) <= RESIDUAL_TOL * np.maximum(lhs, 1.0)
     bad = np.flatnonzero(~(np.isfinite(x) & small))

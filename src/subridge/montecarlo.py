@@ -194,8 +194,12 @@ _NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def _record_failure(row: dict, exc: BaseException) -> None:
+    """NaN fit columns, and the exception's class and message, such as
+    `LinAlgError: singular`, in `error`."""
+    message = str(exc)
+    error = f"{type(exc).__name__}: {message}" if message else type(exc).__name__
     row.update(gcv=math.nan, train_error=math.nan, oob_error=math.nan,
-               test_risk=math.nan, error=type(exc).__name__)
+               test_risk=math.nan, error=error)
 
 
 def _draw(config: SimConfig, rep: int, stream: int) -> ens.Dataset:

@@ -92,7 +92,7 @@ def _validate_aspects(lam: float, phi: float, phis: float) -> None:
     _check_phi(phi)
     if phis < phi:
         raise ValueError("phis must be at least phi")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
 
 
@@ -398,9 +398,13 @@ def optimal_subsample(lam: float, phi: float, model: ModelSpec) -> tuple[float, 
 
     grid = np.geomspace(max(phi, 1e-8), 1e4, 161)
     if lam == 0.0:
-        # The risk blows up at aspect 1 without a penalty; search each side.
+        # Aspect 1 is excluded without a penalty; search each side. The
+        # side above 1 opens at 1 itself, whose NaN cell nanargmin skips, so
+        # the zoom reaches an optimum inside the first grid cell above 1.
         grid = grid[np.abs(grid - 1.0) > 1e-8]
-        sides = [grid < 1.0, grid > 1.0]
+        if phi <= 1.0:
+            grid = np.insert(grid, np.searchsorted(grid, 1.0), 1.0)
+        sides = [grid < 1.0, grid >= 1.0]
     else:
         sides = [np.ones(grid.size, dtype=bool)]
     values = risk_at(grid)
@@ -413,6 +417,54 @@ def optimal_subsample(lam: float, phi: float, model: ModelSpec) -> tuple[float, 
     return best_phis, best_risk
 
 
+# The surface starts each lam column's Newton from the polynomial through
+# the roots of the last _SEED_COLUMNS solved columns.
+_SEED_COLUMNS = 4
+
+
+def _extrapolated_start(
+    columns: list[tuple[float, np.ndarray]], lam: float
+) -> np.ndarray:
+    """Newton start per cell for the column at lam, below every solved
+    column's lam: the polynomial through their roots (columns holds
+    (lam_a, roots_a) pairs), lowered by a rounding margin and floored at the
+    last column's roots.
+
+    v(-lam; theta) is a Stieltjes transform at -lam, so it is completely
+    monotone in lam: (-1)^m d^m v / d lam^m >= 0. The interpolation error
+    at lam is v^(m)(xi) / m! prod_a (lam - lam_a); every factor is negative,
+    so the remainder is >= 0 and the polynomial is a lower bound on the root
+    at any degree and spacing. The last column's roots bound it from below
+    too, since v decreases in lam.
+
+    The margin covers the rounding of P = sum_a w_a r_a, with Lagrange
+    weights w_a = prod_{b != a} (lam - lam_b) / (lam_a - lam_b) and roots
+    r_a, in units of u = eps / 2. With m <= 4 columns, each w_a takes
+    3 (m - 1) roundings for its quotients (two differences and a division
+    each) and m - 2 for their product, 11 in all, so its relative error is
+    at most about 11u. The product w_a r_a adds u, the sum of m terms
+    (m - 1)u = 3u, and subtracting the margin u: 16u sum_a |w_a r_a| in all,
+    which is the margin 8 eps sum_a |w_a r_a|. The start is then below the
+    exact polynomial through the computed roots. Those roots differ from the
+    exact ones by rounding, which the floor, and a restart from 0 where
+    F > 0, absorb: on isotropic and AR(1) spectra, with lam down to 1e-6
+    and theta within 1e-3 of 1, no start lay above the root solved from 0.
+    """
+    lams = [lam_a for lam_a, _ in columns]
+    weights = []
+    for a, lam_a in enumerate(lams):
+        w = 1.0
+        for b, lam_b in enumerate(lams):
+            if b != a:
+                w *= (lam - lam_b) / (lam_a - lam_b)
+        weights.append(w)
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = np.array(weights)[:, None] * np.stack([r for _, r in columns])
+        margin = 8.0 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+        # A cell whose polynomial is NaN takes the floor.
+        return np.fmax(terms.sum(axis=0) - margin, columns[-1][1])
+
+
 def risk_surface(
     phi: float, lam_grid: np.ndarray, phis_grid: np.ndarray, model: ModelSpec,
     M: float = math.inf,
@@ -421,18 +473,22 @@ def risk_surface(
 
     Grid points outside the theory's domain are NaN rather than raising,
     as in :func:`_risk_cells`. The grid is solved one distinct lam column at
-    a time in decreasing lam: v(-lam; theta) decreases in lam, so each
-    column's roots lie below the next column's and start its Newton steps
-    there. A repeated lam repeats its column.
+    a time in decreasing lam, each column's Newton started from a lower
+    bound on its roots extrapolated from the previous columns'
+    (:func:`_extrapolated_start`). Columns whose lam is not finite, or that
+    solved no cell, seed nothing. A repeated lam repeats its column.
     """
     lam = np.ravel(np.asarray(lam_grid, dtype=float))
     phis = np.ravel(np.asarray(phis_grid, dtype=float))
     columns, column_of = np.unique(lam, return_inverse=True)  # NaN last
     surface = np.empty((columns.size, phis.size))
-    roots = None
+    solved = []
     for i in range(columns.size - 1, -1, -1):
+        x0 = _extrapolated_start(solved, columns[i]) if solved else None
         surface[i], roots = _risk_cells(
-            phi, np.full(phis.size, columns[i]), phis, model, M, x0=roots)
+            phi, np.full(phis.size, columns[i]), phis, model, M, x0=x0)
+        if math.isfinite(columns[i]) and not np.isnan(roots).all():
+            solved = (solved + [(columns[i], roots)])[-_SEED_COLUMNS:]
     return surface[column_of]
 
 

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from subridge.cli import (
     _atomic_write,
     _load_csv_dataset,
     _parse_csv,
+    _surface_chunks,
     _write_csv,
     main,
 )
@@ -198,6 +200,79 @@ class TestTheorySurface:
             (lam[i], phis[j], surface[i, j])
             for i in range(lam.size) for j in range(phis.size)))
         assert (tmp_path / "surface.csv").read_bytes() == expected.read_bytes()
+
+    def test_surface_chunks_match_the_cell_by_cell_formatter(self, tmp_path):
+        # The previous formatter: csv.writer over repr(float(v)) per cell.
+        # The grid holds -0.0, a phis printed as 0.30000000000000004, NaN
+        # and infinite risks, and risks printed as 1e-05 and 1e+16.
+        lam = np.array([-0.0, 1e-05, 0.5, 1e+16])
+        phis = np.array([0.1 + 0.2, 1.0, 2.5])
+        surface = np.array([[np.nan, 1e-05, 1e+16],
+                            [-0.0, math.inf, 1.2345678901234567],
+                            [0.1 + 0.2, np.nan, 3.0],
+                            [1e300, 5e-324, 2.0]])
+        path = tmp_path / "surface.csv"
+        _write_csv(path, ["lambda", "phis", "risk"],
+                   chunks=_surface_chunks(lam, phis, surface))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["lambda", "phis", "risk"])
+        for i in range(lam.size):
+            for j in range(phis.size):
+                writer.writerow([repr(float(v))
+                                 for v in (lam[i], phis[j], surface[i, j])])
+        assert path.read_bytes() == expected.getvalue().encode()
+        text = path.read_text()
+        for cell in ("-0.0,", "0.30000000000000004", ",nan\n", "1e-05",
+                     "1e+16", ",inf\n"):
+            assert cell in text
+
+    def test_text_cells_keep_csv_quoting(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        rows = [[1, 0.5, 'ValueError: a, "b"\nc'], [2, math.nan, ""]]
+        _write_csv(path, ["k", "x", "error"], rows)
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [
+                ["k", "x", "error"], ["1", "0.5", 'ValueError: a, "b"\nc'],
+                ["2", "nan", ""]]
+
+    def test_manifest_records_newton_work(self, tmp_path):
+        rc = run_cli(["theory-surface", "--phi", 0.5, "--lambda", "0:1:6",
+                      "--phis", "0.25:4:8", "--p-ref", 20, "--out-dir", tmp_path])
+        assert rc == 0
+        manifest = json.loads(
+            (tmp_path / "theory_surface_manifest.json").read_text())
+        work = manifest["fixed_point"]
+        assert set(work) == {"surface", "markers"}
+        # 6 lambda columns of 8 phis: phis = 0.25 < phi in each column, and
+        # at lambda = 0 the interpolating cell phis = 0.79 is closed-form.
+        surface = work["surface"]
+        assert surface["blocks"] == 6 and surface["cells"] == 6 * 7 - 1
+        assert surface["cell_steps"] >= surface["cells"]
+        assert surface["seed_restarts"] == 0
+        assert work["markers"]["blocks"] > 0
+
+    def test_equivalence_segment_for_an_optimum_just_above_aspect_1(self,
+                                                                    tmp_path):
+        # rho = 0 is the isotropic model with rho2 = 1/5; sigma2 = 0.05
+        # gives SNR 4 at phi = 0.1, where phis* = 1.0277 lies below the
+        # first grid point above 1 of the optimizer's scan.
+        rc = run_cli(["theory-surface", "--phi", 0.1, "--rho-ar1", 0,
+                      "--sigma2", 0.05, "--p-ref", 20, "--lambda", "0:1:3",
+                      "--phis", "0.1:4:4", "--out-dir", tmp_path])
+        assert rc == 0
+        markers = json.loads((tmp_path / "surface_markers.json").read_text())
+        b = 1.0 + 0.1 + 0.1 * 0.05 / 0.2
+        assert markers["phis_star"] == pytest.approx(
+            0.5 * (b + math.sqrt(b * b - 0.4)), rel=1e-6)
+        assert markers["risk_at_phis_star"] == pytest.approx(
+            markers["risk_at_lambda_star"], rel=1e-12)
+        segment = markers["equivalence_segment"]
+        assert len(segment) == 11
+        assert segment[-1]["phis"] == pytest.approx(markers["phis_star"])
+        for point in segment:
+            assert point["risk"] == pytest.approx(
+                markers["risk_at_lambda_star"], rel=1e-10)
 
 
 SIM_CONFIG_ERRORS = [

@@ -21,6 +21,7 @@ from subridge.fixed_point import (
     FixedPointConvergenceError,
     _newton,
     _solve_block,
+    newton_counts,
 )
 
 ISO = isotropic_model(1.0, 1.0)
@@ -246,3 +247,65 @@ class TestSeededNewton:
         seeded, steps = _newton(self.lam, self.theta, self.H, cold)
         np.testing.assert_allclose(seeded, cold, rtol=4 * np.finfo(float).eps)
         assert steps < cold_steps
+
+
+class TestNewtonFailures:
+    # _newton checks the residual it evaluated at each cell's final step;
+    # every way it can fail still raises (an overflow to inf: see
+    # test_root_beyond_float_range_raises).
+    H = SpectralMeasure(values=np.array([0.3, 1.0, 4.0]),
+                        weights=np.array([0.2, 0.5, 0.3]))
+    lam = np.geomspace(1e-3, 3.0, 12)
+    theta = np.linspace(0.2, 5.0, 12)
+
+    def test_stall_raises(self, monkeypatch):
+        monkeypatch.setattr(subridge.fixed_point, "MAX_ITER", 2)
+        with pytest.raises(FixedPointConvergenceError, match="still moving"):
+            _newton(self.lam, self.theta, self.H)
+
+    def test_residual_above_tolerance_raises(self, monkeypatch):
+        # With a zero tolerance, any cell whose final 1/x and
+        # lam + theta int r/(1 + xr) dH differ in the last bits fails.
+        monkeypatch.setattr(subridge.fixed_point, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(FixedPointConvergenceError, match="with residual"):
+            _newton(self.lam, self.theta, self.H)
+
+
+class TestNewtonCounts:
+    H = SpectralMeasure(values=np.array([0.3, 1.0, 4.0]),
+                        weights=np.array([0.2, 0.5, 0.3]))
+    lam = np.array([0.0, 1e-6, 0.2, 3.0])
+    theta = np.array([2.0, 0.7, 1.0, 40.0])
+
+    def delta(self, *args):
+        before = newton_counts()
+        result = _newton(*args)
+        after = newton_counts()
+        return result, {key: after[key] - before[key] for key in after}
+
+    def test_counts_blocks_cells_and_steps(self):
+        (_, steps), counts = self.delta(self.lam, self.theta, self.H)
+        assert counts == {"blocks": 1, "cells": 4, "cell_steps": steps,
+                          "seed_restarts": 0}
+
+    def test_counts_starts_above_the_root_as_restarts(self):
+        cold, _ = _newton(self.lam, self.theta, self.H)
+        # Above the root, not finite (a cold start, not a restart), below it.
+        starts = np.array([2.0 * cold[0], math.inf, 0.5 * cold[2], 3.0 * cold[3]])
+        (x, _), counts = self.delta(self.lam, self.theta, self.H, starts)
+        np.testing.assert_allclose(x, cold, rtol=4 * np.finfo(float).eps)
+        assert counts["seed_restarts"] == 2 and counts["blocks"] == 1
+
+    def test_failed_solve_still_counts(self, monkeypatch):
+        monkeypatch.setattr(subridge.fixed_point, "MAX_ITER", 1)
+        before = newton_counts()
+        with pytest.raises(FixedPointConvergenceError):
+            _newton(self.lam, self.theta, self.H)
+        after = newton_counts()
+        assert after["blocks"] - before["blocks"] == 1
+        assert after["cell_steps"] - before["cell_steps"] == 4
+
+    def test_counts_are_a_copy(self):
+        counts = newton_counts()
+        counts["blocks"] += 100
+        assert newton_counts()["blocks"] == counts["blocks"] - 100

@@ -184,7 +184,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(ens, "ensemble_fit", fail)
         rows, _, _ = mc._run_replicate(small_config(reps=1), 0)
-        assert [row["error"] for row in rows] == ["LinAlgError"] * 2
+        assert [row["error"] for row in rows] == ["LinAlgError: singular"] * 2
         assert all(math.isnan(row["gcv"]) for row in rows)
 
     def test_programming_error_propagates(self, monkeypatch):
@@ -233,7 +233,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(ens, "_mean_squared_residual", fail_on_test)
         rows, _, _ = mc._run_replicate(small_config(reps=1), 0)
-        assert [row["error"] for row in rows] == ["FloatingPointError"] * 2
+        assert [row["error"] for row in rows] == ["FloatingPointError: overflow"] * 2
         for row in rows:
             for column in ("gcv", "train_error", "oob_error", "test_risk"):
                 assert math.isnan(row[column])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subridge import (
     ar1_model,
@@ -20,7 +22,12 @@ from subridge import (
     surface_nan_reasons,
     training_error_limit,
 )
-from subridge.fixed_point import BLOCK_CELLS, DivergentVarianceError
+from subridge.fixed_point import (
+    BLOCK_CELLS,
+    DivergentVarianceError,
+    _newton,
+    newton_counts,
+)
 from subridge.spectra import ModelSpec, SpectralMeasure
 
 ISO = isotropic_model(1.0, 1.0)
@@ -321,11 +328,13 @@ def test_two_member_training_error_matches_aspect_form():
 
 @pytest.mark.parametrize("M", [1, 2, math.inf])
 def test_seeded_surface_matches_scalar_risk_cell_by_cell(M):
-    # Unsorted lam with duplicates, lam = 0 next to interpolating cells
-    # (phis < 1), and a phis grid longer than one solver block, so each lam
-    # column is solved in two blocks seeded from the previous column.
+    # Unsorted lam with duplicates and NaNs, lam = 0 next to interpolating
+    # cells (phis < 1), and a phis grid longer than one solver block, so
+    # each lam column is solved in two blocks. Most columns start from a
+    # cubic through the four previous columns' roots.
     phi = 0.3
-    lam_grid = np.array([0.7, 0.0, 0.05, 0.7, 4.0, 1e-6, 0.05, math.inf])
+    lam_grid = np.array([0.7, 0.0, 0.05, 0.7, 4.0, 1e-6, 0.05, math.inf,
+                         np.nan, 1e-3, 0.2, 1e-4, np.nan, 0.01])
     phis_grid = np.concatenate(([0.1, 0.5, 0.8, 1.0, math.inf],
                                 np.geomspace(phi, 30.0, BLOCK_CELLS + 40)))
     surface = risk_surface(phi, lam_grid, phis_grid, AR1, M=M)
@@ -337,8 +346,9 @@ def test_seeded_surface_matches_scalar_risk_cell_by_cell(M):
                 assert np.isnan(surface[i, j]), (lam, phis)
                 continue
             assert surface[i, j] == pytest.approx(want, rel=1e-12, abs=0.0), (lam, phis)
-    # phis = 0.1 < phi in every column, and the excluded cell at lam = 0.
-    assert np.isnan(surface).sum() == lam_grid.size + 1
+    # The NaN rows, phis = 0.1 < phi in every other row, and the excluded
+    # cell at lam = 0.
+    assert np.isnan(surface).sum() == 2 * phis_grid.size + lam_grid.size - 2 + 1
     np.testing.assert_array_equal(surface[0], surface[3])
 
 
@@ -411,3 +421,95 @@ def test_ridgeless_single_member_gcv_limit_keeps_the_recorded_zero():
     assert phis > 1.0
     for _ in range(2):
         assert gcv_limit_finite_M(0.0, 0.1, phis, model, M=1) == 0.0
+
+
+def _F(x, lam, theta, H):
+    """F(x) = x (lam + theta int r/(1 + xr) dH) - 1, evaluated as _newton
+    does."""
+    q = 1.0 / (1.0 + np.multiply.outer(x, H.values))
+    return x * (lam + theta * (q @ (H.weights * H.values))) - 1.0
+
+
+SEED_MODELS = [ISO, AR1, ar1_model(0.9, p_ref=60)[0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(SEED_MODELS),
+    geometric=st.booleans(),
+    lo=st.floats(1e-6, 0.1),
+    hi=st.floats(0.5, 20.0),
+    count=st.integers(2, 30),
+    thetas=st.lists(st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 20.0),
+                              st.floats(0.999, 1.001)),
+                    min_size=1, max_size=20),
+)
+def test_extrapolated_starts_bound_each_root(model, geometric, lo, hi, count,
+                                             thetas):
+    # Each column's start lies between the previous column's roots and the
+    # column's own roots solved from 0, at a point where F <= 0, so the
+    # monotone Newton argument holds and nothing restarts.
+    import subridge.risk
+
+    starts = []
+    extrapolate = subridge.risk._extrapolated_start
+
+    def recording(columns, lam):
+        start = extrapolate(columns, lam)
+        starts.append((lam, columns[-1][1], start))
+        return start
+
+    lam = np.geomspace(lo, hi, count) if geometric else np.linspace(lo, hi, count)
+    theta = np.array(thetas)
+    phi = 0.5 * float(theta.min())
+    before = newton_counts()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subridge.risk, "_extrapolated_start", recording)
+        risk_surface(phi, lam, theta, model)
+    assert newton_counts()["seed_restarts"] == before["seed_restarts"]
+    assert len(starts) == count - 1
+    for lam_i, previous, start in starts:
+        cold, _ = _newton(np.full(theta.size, lam_i), theta, model.H)
+        assert np.all(start >= previous), lam_i
+        assert np.all(start <= cold), lam_i
+        assert np.all(_F(start, lam_i, theta, model.H) <= 0.0), lam_i
+
+
+def test_benchmark_surfaces_take_few_newton_steps():
+    # The benchmark's three theory-surface grids: 24,300 cells, of which
+    # 24,284 are solved by Newton; started at 0 they took 157,633
+    # cell-steps, and from the previous column's roots 109,559.
+    model, _, _ = ar1_model(0.5, p_ref=500)
+    before = newton_counts()
+    for phi in (0.1, 0.5, 1.5):
+        risk_surface(phi, np.linspace(0.0, 2.0, 81), np.linspace(phi, 10.0, 100),
+                     model)
+    after = newton_counts()
+    counts = {key: after[key] - before[key] for key in after}
+    assert counts["cells"] == 24_284
+    assert counts["seed_restarts"] == 0
+    assert counts["cell_steps"] <= 85_000
+
+
+# Isotropic (phi, SNR) sweep for the ridgeless optimum just above aspect 1.
+# With rho2/sigma2 = SNR, lambda* = phi sigma2 / rho2, and the contour
+# through (lambda*, phi) meets lambda = 0 at the larger root of
+# phis^2 - (1 + phi + phi sigma2 / rho2) phis + phi = 0. Near a flat minimum
+# the optimizer resolves a position to about sqrt(eps) relative, so phis*
+# is held to 1e-6; the two optimal risks agree to 1e-12. The first five
+# cases have phis* below the first grid point above 1, where the search
+# used to stop.
+SUBSAMPLE_SWEEP = [(0.1, 4.0), (0.01, 1.0), (0.03, 10.0), (0.05, 2.0),
+                   (0.02, 4.0), (0.3, 1.0), (0.5, 4.0), (0.8, 0.5),
+                   (0.1, 0.5), (1.0, 2.0), (2.0, 10.0)]
+
+
+@pytest.mark.parametrize("phi, snr", SUBSAMPLE_SWEEP)
+def test_optimal_subsample_matches_the_isotropic_closed_form(phi, snr):
+    model = isotropic_model(2.0, 2.0 / snr)
+    b = 1.0 + phi + phi / snr
+    closed = 0.5 * (b + math.sqrt(b * b - 4.0 * phi))
+    phis_star, r_sub = optimal_subsample(0.0, phi, model)
+    lam_star, r_lam = optimal_lambda(phi, phi, model)
+    assert phis_star == pytest.approx(closed, rel=1e-6)
+    assert r_sub == pytest.approx(r_lam, rel=1e-12)
