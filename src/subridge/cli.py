@@ -264,7 +264,8 @@ def cmd_sim(args) -> int:
                   {"rep": t["rep"], "fit_s": round(t["fit_s"], 3),
                    "score_s": round(t["score_s"], 3)}
                   for t in result.replicate_seconds
-              ])
+              ],
+              solve_counts=result.solve_counts)
     return 0
 
 
@@ -410,7 +411,8 @@ def cmd_tune(args) -> int:
               grid_seconds=[
                   {"k": k, "fit_s": round(seconds, 3)}
                   for (k, _), seconds in zip(result.path, result.fit_seconds)
-              ])
+              ],
+              solve_counts=result.solve_counts)
     print(f"k_hat = {result.k_hat}, holdout MSE = {holdout_mse:.6g}"
           + (f", baseline MSE = {baseline_mse:.6g}" if baseline_mse is not None
              else ""))

@@ -125,16 +125,31 @@ class GcvReport:
 
 
 # Smallest Cholesky pivot ratio min(diag L)^2 / max(diag L)^2 for which a
-# member is solved directly instead of through its eigendecomposition. The
-# direct and the spectral solve are each accurate to about cond(A) * eps
-# relative, so they agree to that. Every pivot lies between the extreme
-# eigenvalues of A, so the ratio is at least 1 / cond(A); on members drawn
-# from the benchmark's sim and tune inputs (|k - p| > 0.1 p) cond(A) stayed
-# below 130 / ratio. A member that passes therefore has cond(A) below about
-# 1.3e5, and the two paths differ by about 3e-11: 30 times inside the
-# benchmark's 1e-9 fit tolerance. A rank-deficient gram gives a ratio near
-# eps, or the factorization raises.
+# member away from the square shape (a ridge member, or a ridgeless one with
+# |k - p| > 0.1 p) is solved directly instead of through its
+# eigendecomposition. The direct and the spectral solve are each accurate to
+# about cond(A) * eps relative, so they agree to that. Every pivot lies
+# between the extreme eigenvalues of A, so the ratio is at least 1 / cond(A);
+# on members drawn from the benchmark's sim and tune inputs (|k - p| > 0.1 p)
+# cond(A) stayed below 130 / ratio. A member that passes therefore has
+# cond(A) below about 1.3e5, and the two paths differ by about 3e-11: 30
+# times inside the benchmark's 1e-9 fit tolerance. A rank-deficient gram
+# gives a ratio near eps, or the factorization raises. A near-square
+# ridgeless gram is ill conditioned by nature (its smallest eigenvalue nears
+# 0 as k -> p), so it is not held to this ratio but certified full rank
+# instead; see `_RidgeSolver.solve`.
 MIN_PIVOT_RATIO = 1e-3
+
+_SOLVE_COUNTS = {"cholesky": 0, "certified": 0, "spectral": 0, "rank_deficient": 0}
+
+
+def solve_counts() -> dict[str, int]:
+    """Members solved so far in this process, by path: the pivot-checked
+    Cholesky solve, the certified near-square ridgeless solve, and the
+    spectral fallback; and the ridgeless members whose min-norm solution
+    kept fewer eigenvalues than the gram has rows (rank-deficient). A caller
+    reads its own work as the change between two calls."""
+    return dict(_SOLVE_COUNTS)
 
 
 def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,9 +197,11 @@ class _RidgeSolver:
     X'y - Xc'yc, which costs (n - k) p^2 flops instead of k p^2; with k = n
     it uses the full ones as they are. The cancellation error, about
     eps ||X'X|| <= 2 eps ||X_S'X_S||, lies far inside the rank cutoff and
-    the pivot check below. `solve` answers one penalty by a direct solve
-    when a Cholesky factor shows the gram well conditioned, and otherwise
-    through the eigendecomposition; `spectral` always uses the
+    the pivot check and the full-rank certificate below. `solve` answers
+    one penalty by a direct solve when a Cholesky factor shows the gram well
+    conditioned, or, for a near-square ridgeless member, shows that the
+    rank cutoff of `spectral` would keep every eigenvalue; otherwise it goes
+    through the eigendecomposition. `spectral` always uses the
     eigendecomposition, computed on first use and kept, so a penalty path
     costs one `eigh`. Each returns (coef, df), where df is the trace of the
     smoothing matrix; at lam = 0 it is the min-norm (ridgeless) solution and
@@ -217,28 +234,55 @@ class _RidgeSolver:
         return z if self.primal else self.X.T @ z
 
     def solve(self, lam: float):
-        """(coef, df) at one penalty. A Cholesky factor checks the gram; the
-        spectral path takes over for a near-square ridgeless fit
-        (|k - p| <= 0.1 p), a failed factorization, or a pivot ratio below
-        MIN_PIVOT_RATIO."""
+        """(coef, df) at one penalty, by the first path that applies:
+
+        - A failed Cholesky factorization goes to `spectral`.
+        - A near-square ridgeless member (|k - p| <= 0.1 p) is solved as
+          z = W'(W rhs) with W = L^-1 and df = m when 1 / ||W||_F^2 exceeds
+          the rank cutoff of `spectral` taken at tr(A). Since
+          lambda_min(A) >= 1 / ||W||_F^2 (tr(A^-1) = ||W||_F^2) and
+          lambda_max(A) <= tr(A), the cutoff would then keep every
+          eigenvalue, and both paths compute A^-1 rhs, each to about
+          cond(A) * eps. Otherwise it goes to `spectral`; so it does, without
+          forming W, when a pivot L_ii^2 is at most the cutoff, because
+          lambda_min(A) <= min L_ii^2.
+        - Any other member goes to `spectral` when its pivot ratio is below
+          MIN_PIVOT_RATIO, and is solved from L otherwise.
+        """
         k, p = self.k, self.p
-        if lam == 0.0 and abs(k - p) <= 0.1 * p:
-            return self.spectral(lam)
         m = self.gram.shape[0]
         shift = k * lam
         A = self.gram + shift * np.eye(m) if lam else self.gram
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
-            return self.spectral(lam)
+            return self._fallback(lam)
         pivots = np.diag(L) ** 2
+        if lam == 0.0 and abs(k - p) <= 0.1 * p:
+            cutoff = max(k, p) * np.finfo(float).eps * np.trace(A)
+            if not pivots.min() > cutoff:
+                return self._fallback(lam)
+            # A^-1 = W'W with W = L^-1, so tr(A^-1) = ||W||_F^2.
+            W = _lower_inverse(L)
+            if not 1.0 / np.vdot(W, W) > cutoff:
+                return self._fallback(lam)
+            _SOLVE_COUNTS["certified"] += 1
+            return self._coef(W.T @ (W @ self.rhs)), float(m)
         if not pivots.min() >= MIN_PIVOT_RATIO * pivots.max():
-            return self.spectral(lam)
+            return self._fallback(lam)
+        _SOLVE_COUNTS["cholesky"] += 1
         if lam == 0.0:
             return self._coef(_cholesky_solve(L, self.rhs)), float(m)
-        # A^-1 = W'W with W = L^-1, so tr(A^-1) = ||W||_F^2.
         W = _lower_inverse(L)
         return self._coef(W.T @ (W @ self.rhs)), float(m - shift * np.vdot(W, W))
+
+    def _fallback(self, lam: float):
+        """`spectral` for a member `solve` could not answer, counted."""
+        coef, df = self.spectral(lam)
+        _SOLVE_COUNTS["spectral"] += 1
+        if lam == 0.0 and df < self.gram.shape[0]:
+            _SOLVE_COUNTS["rank_deficient"] += 1
+        return coef, df
 
     def spectral(self, lam: float):
         """(coef, df) at one penalty from the kept eigendecomposition."""

@@ -91,14 +91,17 @@ class SimConfig:
 @dataclass
 class SimResult:
     """Tidy per-(rep, cell) rows plus across-rep aggregates, and how the
-    replicates ran: the worker processes, the BLAS threads of each, and
-    each replicate's fit and score seconds as timed in its worker."""
+    replicates ran: the worker processes, the BLAS threads of each, each
+    replicate's fit and score seconds as timed in its worker, and the
+    members solved by each path summed over replicates
+    (`ensemble.solve_counts`)."""
 
     config: SimConfig
     rows: list[dict] = field(default_factory=list)
     workers: int = 1
     blas_threads_per_worker: int = 1
     replicate_seconds: list[dict] = field(default_factory=list)
+    solve_counts: dict[str, int] = field(default_factory=dict)
 
     def aggregate(self) -> list[dict]:
         cells: dict[tuple, list[dict]] = {}
@@ -286,14 +289,17 @@ def _plan(config: SimConfig):
 
 
 def _run_replicate(config: SimConfig, rep: int):
-    """Replicate rep in this process: its rows, and the seconds it spent
-    fitting and scoring."""
+    """Replicate rep in this process: its rows, the seconds it spent
+    fitting and scoring, and its members solved by each path."""
     cells, theory = _plan(config)
+    before = ens.solve_counts()
     started = time.perf_counter()
     rows, coefs = _fit_replicate(config, rep, cells, theory)
     fitted = time.perf_counter()
     _score_replicate(config, rep, rows, coefs)
-    return rows, fitted - started, time.perf_counter() - fitted
+    scored = time.perf_counter()
+    counts = {key: n - before[key] for key, n in ens.solve_counts().items()}
+    return rows, fitted - started, scored - fitted, counts
 
 
 def run_experiment(config: SimConfig) -> SimResult:
@@ -321,10 +327,13 @@ def run_experiment(config: SimConfig) -> SimResult:
         partial(_run_replicate, config), range(config.reps), workers
     )
     result = SimResult(config=config, workers=workers,
-                       blas_threads_per_worker=BLAS_THREADS)
-    for rep, (rows, fit_s, score_s) in enumerate(replicates):
+                       blas_threads_per_worker=BLAS_THREADS,
+                       solve_counts=dict.fromkeys(ens.solve_counts(), 0))
+    for rep, (rows, fit_s, score_s, counts) in enumerate(replicates):
         result.rows.extend(rows)
         result.replicate_seconds.append(
             {"rep": rep, "fit_s": fit_s, "score_s": score_s}
         )
+        for key, n in counts.items():
+            result.solve_counts[key] += n
     return result

@@ -31,8 +31,9 @@ __all__ = [
 @dataclass(frozen=True)
 class TuneResult:
     """Outcome of GCV subsample tuning, and how the grid was fitted: the
-    worker processes, the BLAS threads of each, and each grid size's fit
-    seconds (in path order) as timed in its worker."""
+    worker processes, the BLAS threads of each, each grid size's fit
+    seconds (in path order) as timed in its worker, and the members solved
+    by each path summed over the grid (`ensemble.solve_counts`)."""
 
     k_hat: int
     gcv_at_k_hat: float
@@ -46,6 +47,8 @@ class TuneResult:
     workers: int = field(default=1, compare=False)
     blas_threads_per_worker: int = field(default=1, compare=False)
     fit_seconds: tuple[float, ...] = field(default=(), compare=False, repr=False)
+    solve_counts: dict[str, int] = field(default_factory=dict, compare=False,
+                                         repr=False)
 
 
 def subsample_grid(n: int, nu: float = 0.5) -> list[int]:
@@ -64,12 +67,16 @@ def subsample_grid(n: int, nu: float = 0.5) -> list[int]:
 
 def _tune_cell(data: ens.Dataset, lam: float, M: int, seed: int, k: int):
     """Grid size k in this process: the GCV value of its ensemble, whether
-    the GCV denominator degenerated, the averaged coefficients, and the
-    seconds the fit and its GCV took. The members stay here."""
+    the GCV denominator degenerated, the averaged coefficients, the seconds
+    the fit and its GCV took, and its members solved by each path. The
+    members stay here."""
+    before = ens.solve_counts()
     started = time.perf_counter()
     fit = ens.ensemble_fit(data, k, M, lam, seed)
     report = ens.gcv(fit, data)
-    return report.value, report.degenerate, fit.coef, time.perf_counter() - started
+    seconds = time.perf_counter() - started
+    counts = {key: n - before[key] for key, n in ens.solve_counts().items()}
+    return report.value, report.degenerate, fit.coef, seconds, counts
 
 
 def tune_k(
@@ -102,7 +109,7 @@ def tune_k(
 
     workers = worker_count(len(sizes))
     cells = map_in_workers(partial(_tune_cell, data, lam, M, seed), sizes, workers)
-    values, degenerate, coefs, seconds = zip(*cells)
+    values, degenerate, coefs, seconds, counts = zip(*cells)
     path = tuple(zip(sizes, values))
     # min() compares (gcv, k), so ties go to the smallest k.
     gcv_hat, k_hat = min((value, k) for k, value in path)
@@ -112,6 +119,7 @@ def tune_k(
         degenerate_cells=tuple(k for k, flag in zip(sizes, degenerate) if flag),
         workers=workers, blas_threads_per_worker=BLAS_THREADS,
         fit_seconds=seconds,
+        solve_counts={key: sum(c[key] for c in counts) for key in counts[0]},
     )
 
 

@@ -330,6 +330,10 @@ class TestSim:
             assert manifest["workers"] == workers
             assert manifest["blas_threads_per_worker"] == 1
             assert [t["rep"] for t in manifest["replicate_seconds"]] == [0, 1, 2, 3]
+            # 4 reps x 2 cells x 3 members, every one a ridge Cholesky solve.
+            assert manifest["solve_counts"] == {
+                "cholesky": 24, "certified": 0, "spectral": 0,
+                "rank_deficient": 0}
             outputs.append([(out / name).read_bytes()
                             for name in ("sim_tidy.csv", "sim_aggregate.csv")])
         assert outputs[0] == outputs[1] == outputs[2]
@@ -492,6 +496,9 @@ class TestTune:
             assert manifest["blas_threads_per_worker"] == 1
             assert [t["k"] for t in manifest["grid_seconds"]] == [
                 k for k, _ in result["path"]]
+            counts = manifest["solve_counts"]
+            assert counts["cholesky"] + counts["certified"] + counts["spectral"] \
+                == 3 * sum(1 for k, _ in result["path"] if k > 0)
             outputs.append([(out / name).read_bytes()
                             for name in ("tune_path.csv", "tune_result.json")])
         assert outputs[0] == outputs[1] == outputs[2]

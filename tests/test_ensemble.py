@@ -19,7 +19,7 @@ from subridge import (
     tune_k,
     tune_lambda,
 )
-from subridge.ensemble import _RidgeSolver
+from subridge.ensemble import _RidgeSolver, solve_counts
 
 
 def make_data(rng, n, p, beta0=None, sigma=1.0):
@@ -131,15 +131,88 @@ class TestRidgeSolver:
         if lam == 0.0:
             assert df == min(k, p)
 
-    def test_square_ridgeless_takes_spectral_path(self, monkeypatch):
+    # Near-square ridgeless members (|k - p| <= 0.1 p) with p = 100: the
+    # gram has 95 to 105 rows, so `_lower_inverse` runs over a full and a
+    # partial block. The complement member holds 102 of 180 rows (2k > n).
+    @pytest.mark.parametrize("k, n", [(100, None), (95, None), (105, None),
+                                      (102, 180)],
+                             ids=["square", "dual", "primal", "complement"])
+    def test_near_square_ridgeless_takes_certified_path(self, monkeypatch, k, n):
+        p = 100
         rng = np.random.default_rng(8)
-        X, y = rng.standard_normal((60, 60)), rng.standard_normal(60)
-        cholesky = count_calls(monkeypatch, "cholesky")
+        X_all = rng.standard_normal((n or k, p))
+        y_all = rng.standard_normal(n or k)
+        rows = None if n is None else np.sort(rng.permutation(n)[:k])
+        X = X_all if rows is None else X_all[rows]
+        y = y_all if rows is None else y_all[rows]
         eigh = count_calls(monkeypatch, "eigh")
-        coef, df = _RidgeSolver(Dataset(X, y)).solve(0.0)
-        assert cholesky == [] and eigh == ["eigh"]
-        np.testing.assert_allclose(X @ coef, y, rtol=0, atol=1e-8)
-        assert df == 60
+        before = solve_counts()
+        solver = _RidgeSolver(Dataset(X_all, y_all), rows)
+        coef, df = solver.solve(0.0)
+        assert eigh == []
+        assert solve_counts()["certified"] == before["certified"] + 1
+        assert df == min(k, p)
+        # The min-norm solution of a full-rank gram A is A^-1 rhs mapped to
+        # beta. Both the certified path and pinv compute it to about
+        # cond(A) * eps relative; m = min(k, p) bounds the growth of the
+        # rounding in the factorizations and substitutions.
+        bound = min(k, p) * np.linalg.cond(solver.gram) * np.finfo(float).eps
+        assert relative(coef, np.linalg.pinv(X) @ y) <= bound
+
+    def test_square_duplicated_column_falls_back_to_rank(self, monkeypatch):
+        eigh = count_calls(monkeypatch, "eigh")
+        before = solve_counts()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((60, 59))
+            X = np.column_stack([X, X[:, 0]])
+            y = rng.standard_normal(60)
+            coef, df = _RidgeSolver(Dataset(X, y)).solve(0.0)
+            assert df == 59
+            assert relative(coef, np.linalg.pinv(X) @ y) <= 1e-8
+        after = solve_counts()
+        assert len(eigh) == 20
+        assert after["spectral"] == before["spectral"] + 20
+        assert after["rank_deficient"] == before["rank_deficient"] + 20
+
+    def test_certificate_never_passes_a_dropped_eigenvalue(self):
+        # Square designs X = Q diag(sqrt e) Q', so the gram is Q diag(e) Q'
+        # to rounding, with the j smallest e spread over [cutoff / 10,
+        # 10 cutoff] around the rank cutoff m eps e_max of `spectral`. Half
+        # of them put almost all of tr(A) into e_max, where the certificate's
+        # tr(A) is no looser than the cutoff's e_max. The certified path
+        # must never take a member whose cutoff drops an eigenvalue, its df
+        # must equal that of `spectral`, and the two solutions must agree to
+        # the cond(A) * eps bound of the test above.
+        eps = np.finfo(float).eps
+        certified = fell_back = dropped = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(5, 80))
+            Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            if seed % 2:
+                e = np.full(m, 1e-3)
+            else:
+                e = np.exp(rng.uniform(-3.0, 0.0, m))
+            e[-1] = 1.0
+            j = int(rng.integers(1, 4))
+            e[:j] = m * eps * np.exp(rng.uniform(-np.log(10), np.log(10), j))
+            X = (Q * np.sqrt(e)) @ Q.T
+            solver = _RidgeSolver(Dataset(X, rng.standard_normal(m)))
+            before = solve_counts()["certified"]
+            coef, df = solver.solve(0.0)
+            coef_ref, df_ref = solver.spectral(0.0)
+            dropped += df_ref < m
+            if solve_counts()["certified"] > before:
+                certified += 1
+                assert df_ref == m and df == df_ref
+                bound = m * np.linalg.cond(solver.gram) * eps
+                assert relative(coef, coef_ref) <= bound
+            else:
+                fell_back += 1
+        # The sweep straddles the cutoff: some members are certified, some
+        # fall back, and the cutoff drops eigenvalues of some.
+        assert certified and fell_back and dropped
 
     def test_duplicated_column_drops_to_rank(self, monkeypatch):
         # An exactly collinear column leaves a gram eigenvalue of about

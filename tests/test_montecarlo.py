@@ -159,6 +159,16 @@ class TestRunExperiment:
         assert all(t["fit_s"] > 0 and t["score_s"] > 0
                    for t in result.replicate_seconds)
 
+    def test_counts_members_by_path(self):
+        # At lambda = 0 and p = 20, k = 10 is a dual Cholesky member and
+        # k = 20 a square one that the certificate takes; 2 reps x 3 members.
+        result = run_experiment(small_config(lambda_grid=(0.0,)))
+        assert result.solve_counts == {
+            "cholesky": 6, "certified": 6, "spectral": 0, "rank_deficient": 0}
+        counts = mc._run_replicate(small_config(lambda_grid=(0.0,)), 0)[3]
+        assert counts == {
+            "cholesky": 3, "certified": 3, "spectral": 0, "rank_deficient": 0}
+
     def test_script_without_main_guard_can_run_it(self, tmp_path):
         # Workers start `python -m subridge._worker`, so the calling script
         # is never imported again.
@@ -183,7 +193,7 @@ class TestRunExperiment:
             raise np.linalg.LinAlgError("singular")
 
         monkeypatch.setattr(ens, "ensemble_fit", fail)
-        rows, _, _ = mc._run_replicate(small_config(reps=1), 0)
+        rows = mc._run_replicate(small_config(reps=1), 0)[0]
         assert [row["error"] for row in rows] == ["LinAlgError: singular"] * 2
         assert all(math.isnan(row["gcv"]) for row in rows)
 
@@ -232,7 +242,7 @@ class TestRunExperiment:
             return original(data, coef, rows)
 
         monkeypatch.setattr(ens, "_mean_squared_residual", fail_on_test)
-        rows, _, _ = mc._run_replicate(small_config(reps=1), 0)
+        rows = mc._run_replicate(small_config(reps=1), 0)[0]
         assert [row["error"] for row in rows] == ["FloatingPointError: overflow"] * 2
         for row in rows:
             for column in ("gcv", "train_error", "oob_error", "test_risk"):

@@ -125,6 +125,15 @@ class TestTuneK:
         assert 30 in result.degenerate_cells
         assert result.k_hat != 30
 
+    def test_counts_members_by_path(self):
+        # At lambda = 0 and p = 30: k = 10 is a dual and k = 60 a primal
+        # Cholesky member, k = 30 a square one that the certificate takes.
+        rng = np.random.default_rng(39)
+        data = Dataset(rng.standard_normal((60, 30)), rng.standard_normal(60))
+        result = tune_k(data, 0.0, [0, 10, 30, 60], M=2, seed=4)
+        assert result.solve_counts == {
+            "cholesky": 4, "certified": 2, "spectral": 0, "rank_deficient": 0}
+
     def test_keeps_the_fit_at_k_hat(self):
         # The coefficients at k_hat are those of a refit of the same
         # ensemble in a worker, which runs the BLAS as tune_k's workers do.
