@@ -7,7 +7,6 @@ from .ensemble import (
     Dataset,
     EnsembleFit,
     GcvReport,
-    Member,
     UndefinedOobError,
     conditional_risk,
     ensemble_fit,
@@ -57,7 +56,7 @@ from .tuning import TuneResult, lambda_hat, subsample_grid, tune_k, tune_lambda
 
 __all__ = [
     "__version__",
-    "Dataset", "EnsembleFit", "GcvReport", "Member", "UndefinedOobError",
+    "Dataset", "EnsembleFit", "GcvReport", "UndefinedOobError",
     "conditional_risk", "ensemble_fit", "gcv", "oob_error", "predict",
     "sample_subsets", "training_error",
     "DivergentVarianceError", "ExcludedBoundaryError", "FixedPointSolution",

@@ -377,11 +377,13 @@ def cmd_tune(args) -> int:
     holdout_mse = float(np.mean((hold_y - pred) ** 2))
 
     baseline_lam = baseline_gcv = baseline_mse = None
+    before = ens.solve_counts()
     if not args.no_baseline:
         lam_grid = np.concatenate(([0.0], np.logspace(-4, 2, 25)))
         baseline_lam, baseline_gcv, base_fit = tune_lambda(train, lam_grid)
         base_pred = ens.predict(base_fit, hold_X) + y_mu
         baseline_mse = float(np.mean((hold_y - base_pred) ** 2))
+    baseline_counts = {key: n - before[key] for key, n in ens.solve_counts().items()}
 
     out = _out_dir(args)
     result_path = out / "tune_result.json"
@@ -412,7 +414,8 @@ def cmd_tune(args) -> int:
                   {"k": k, "fit_s": round(seconds, 3)}
                   for (k, _), seconds in zip(result.path, result.fit_seconds)
               ],
-              solve_counts=result.solve_counts)
+              solve_counts=result.solve_counts,
+              baseline_solve_counts=baseline_counts)
     print(f"k_hat = {result.k_hat}, holdout MSE = {holdout_mse:.6g}"
           + (f", baseline MSE = {baseline_mse:.6g}" if baseline_mse is not None
              else ""))

@@ -3,7 +3,7 @@
 An ensemble averages M ridge (or ridgeless) fits, each computed on a uniform
 random size-k subset of the rows. The module provides the member solver, the
 subset sampler, training / out-of-bag errors of the averaged predictor, and
-the GCV estimate built from per-member smoothing-matrix traces.
+the GCV estimate built from the mean member smoothing-matrix trace.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "Member",
     "EnsembleFit",
     "GcvReport",
     "UndefinedOobError",
@@ -80,36 +79,19 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Member:
-    """One fitted ensemble member.
-
-    trace_contribution is tr(M_l Sigma_l) — the member's effective degrees
-    of freedom — which lies in [0, min(k, p)].
-    """
-
-    indices: np.ndarray
-    coef: np.ndarray
-    trace_contribution: float
-
-
-@dataclass(frozen=True)
 class EnsembleFit:
-    """An M-member subsample ridge ensemble."""
+    """An M-member subsample ridge ensemble, held as its GCV reads it: the
+    averaged coefficients, the sorted union of the member subsets, and the
+    mean member trace tr(M_l Sigma_l), the members' effective degrees of
+    freedom, each in [0, min(k, p)]. The null fit (k = 0) has M = 0, an
+    empty union and a mean trace of 0."""
 
     lam: float
     k: int
-    members: tuple[Member, ...]
+    M: int
     coef: np.ndarray
     union_indices: np.ndarray
-
-    @property
-    def M(self) -> int:
-        return len(self.members)
-
-    def mean_trace(self) -> float:
-        if not self.members:
-            return 0.0
-        return float(np.mean([m.trace_contribution for m in self.members]))
+    mean_trace: float
 
 
 @dataclass(frozen=True)
@@ -144,9 +126,10 @@ _SOLVE_COUNTS = {"cholesky": 0, "certified": 0, "spectral": 0, "rank_deficient":
 
 
 def solve_counts() -> dict[str, int]:
-    """Members solved so far in this process, by path: the pivot-checked
-    Cholesky solve, the certified near-square ridgeless solve, and the
-    spectral fallback; and the ridgeless members whose min-norm solution
+    """Solves so far in this process, by path: members taking the
+    pivot-checked Cholesky solve and the certified near-square ridgeless
+    solve; eigendecompositions (`spectral`), one per fallback member or
+    penalty path; and the ridgeless fallback members whose min-norm solution
     kept fewer eigenvalues than the gram has rows (rank-deficient). A caller
     reads its own work as the change between two calls."""
     return dict(_SOLVE_COUNTS)
@@ -277,19 +260,21 @@ class _RidgeSolver:
         return self._coef(W.T @ (W @ self.rhs)), float(m - shift * np.vdot(W, W))
 
     def _fallback(self, lam: float):
-        """`spectral` for a member `solve` could not answer, counted."""
+        """`spectral` for a member `solve` could not answer, counted when
+        its min-norm solution is rank-deficient."""
         coef, df = self.spectral(lam)
-        _SOLVE_COUNTS["spectral"] += 1
         if lam == 0.0 and df < self.gram.shape[0]:
             _SOLVE_COUNTS["rank_deficient"] += 1
         return coef, df
 
     def spectral(self, lam: float):
-        """(coef, df) at one penalty from the kept eigendecomposition."""
+        """(coef, df) at one penalty from the kept eigendecomposition,
+        counted once per solver when it is computed."""
         if self._spectrum is None:
             e, Q = np.linalg.eigh(self.gram)
             e = np.clip(e, 0.0, None)
             self._spectrum = e, Q, Q.T @ self.rhs
+            _SOLVE_COUNTS["spectral"] += 1
         e, Q, qt_rhs = self._spectrum
         if lam == 0.0:
             # Min-norm solution: drop eigenvalues below the relative cutoff.
@@ -307,26 +292,29 @@ class _RidgeSolver:
         return self._coef(z), df
 
 
-def sample_subsets(n: int, k: int, M: int, seed: int) -> list[np.ndarray]:
-    """M independent uniform size-k subsets of range(n), sorted.
+def _subset(n: int, k: int, seed: int, i: int) -> np.ndarray:
+    """Member i's uniform size-k subset of range(n), sorted, from its own
+    generator seeded by (seed, i), so serial and parallel fits agree."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+    return np.sort(rng.choice(n, size=k, replace=False))
 
-    Each member's subset comes from its own generator seeded by
-    (seed, member index), so serial and parallel fits agree.
-    """
+
+def sample_subsets(n: int, k: int, M: int, seed: int) -> list[np.ndarray]:
+    """The M member subsets of `ensemble_fit(data, k, M, lam, seed)` for
+    n rows: independent uniform size-k subsets of range(n), sorted."""
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     if M < 1:
         raise ValueError("M must be at least 1")
-    subsets = []
-    for i in range(M):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        subsets.append(np.sort(rng.choice(n, size=k, replace=False)))
-    return subsets
+    return [_subset(n, k, seed, i) for i in range(M)]
 
 
 def ensemble_fit(data: Dataset, k: int, M: int, lam: float, seed: int) -> EnsembleFit:
     """Fit M independent subsample ridge members and average them.
 
+    Each member's subset is drawn, marked in the union and solved in turn,
+    and only its coefficients and df are kept, so no more than one subset
+    is held at a time; the subsets are those of `sample_subsets`.
     k = 0 returns the null fit: zero coefficients and an empty union.
     """
     if not 0.0 <= lam < math.inf:
@@ -334,21 +322,23 @@ def ensemble_fit(data: Dataset, k: int, M: int, lam: float, seed: int) -> Ensemb
     if M < 1:
         raise ValueError("M must be at least 1")
     if k == 0:
-        return EnsembleFit(
-            lam=lam, k=0, members=(),
-            coef=np.zeros(data.p), union_indices=np.empty(0, dtype=int),
-        )
-    subsets = sample_subsets(data.n, k, M, seed)
-    members = []
-    for idx in subsets:
-        coef, df = _RidgeSolver(data, idx).solve(lam)
-        members.append(Member(indices=idx, coef=coef, trace_contribution=df))
-    averaged = np.mean([m.coef for m in members], axis=0)
+        return EnsembleFit(lam=lam, k=0, M=0, coef=np.zeros(data.p),
+                           union_indices=np.empty(0, dtype=int), mean_trace=0.0)
+    if not 1 <= k <= data.n:
+        raise ValueError("k must satisfy 1 <= k <= n")
     in_union = np.zeros(data.n, dtype=bool)
-    for idx in subsets:
+    coefs, dfs = [], []
+    for i in range(M):
+        idx = _subset(data.n, k, seed, i)
         in_union[idx] = True
-    return EnsembleFit(lam=lam, k=k, members=tuple(members),
-                       coef=averaged, union_indices=np.flatnonzero(in_union))
+        coef, df = _RidgeSolver(data, idx).solve(lam)
+        coefs.append(coef)
+        dfs.append(df)
+    # np.mean over the stacked members, not a running sum: numpy sums an
+    # (M, 1) stack pairwise, and a running sum rounds differently.
+    return EnsembleFit(lam=lam, k=k, M=M, coef=np.mean(coefs, axis=0),
+                       union_indices=np.flatnonzero(in_union),
+                       mean_trace=float(np.mean(dfs)))
 
 
 def predict(fit: EnsembleFit, X_new: np.ndarray) -> np.ndarray:
@@ -385,11 +375,11 @@ def gcv(fit: EnsembleFit, data: Dataset) -> GcvReport:
     (1 - mean member trace / union size)^2."""
     numerator = training_error(fit, data)
     size = int(fit.union_indices.size) or data.n
-    mean_trace = fit.mean_trace()
-    denominator = (1.0 - mean_trace / size) ** 2
+    denominator = (1.0 - fit.mean_trace / size) ** 2
     degenerate = denominator < DEGENERATE_DENOMINATOR
     value = math.inf if degenerate else numerator / denominator
-    return GcvReport(numerator, denominator, value, mean_trace, size, degenerate)
+    return GcvReport(numerator, denominator, value, fit.mean_trace, size,
+                     degenerate)
 
 
 def conditional_risk(fit: EnsembleFit, test_data: Dataset) -> float:

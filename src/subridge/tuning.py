@@ -68,8 +68,7 @@ def subsample_grid(n: int, nu: float = 0.5) -> list[int]:
 def _tune_cell(data: ens.Dataset, lam: float, M: int, seed: int, k: int):
     """Grid size k in this process: the GCV value of its ensemble, whether
     the GCV denominator degenerated, the averaged coefficients, the seconds
-    the fit and its GCV took, and its members solved by each path. The
-    members stay here."""
+    the fit and its GCV took, and its members solved by each path."""
     before = ens.solve_counts()
     started = time.perf_counter()
     fit = ens.ensemble_fit(data, k, M, lam, seed)
@@ -136,34 +135,27 @@ def lambda_hat(k_hat_0: int, k_hat_lambda: int, lam: float, n: int) -> float:
 def tune_lambda(
     data: ens.Dataset, lambda_grid
 ) -> tuple[float, float, ens.EnsembleFit]:
-    """Baseline ridge tuning: single full-data fit per penalty, GCV argmin.
+    """Baseline ridge tuning: the GCV argmin over penalties of the full-data
+    ridge fit, scored by `ensemble.gcv` as the one-member ensemble with
+    k = n.
 
-    Returns (lambda, gcv, fit), where fit is the one-member full-data
-    ensemble at the selected penalty. The whole penalty path reuses one
-    spectral decomposition of the design. Ties break towards the smallest
-    penalty.
+    Returns (lambda, gcv, fit), where fit is that ensemble at the selected
+    penalty. The whole penalty path reuses one spectral decomposition of
+    the design. Ties break towards the smallest penalty.
     """
     penalties = sorted(set(float(v) for v in lambda_grid))
     if not penalties:
         raise ValueError("empty penalty grid")
-    X, y, n = data.X, data.y, data.n
     solver = ens._RidgeSolver(data)
+    rows = np.arange(data.n)
     best = None
     for lam in penalties:
         if not 0.0 <= lam < math.inf:
             raise ValueError("penalties must be finite and nonnegative")
         coef, df = solver.spectral(lam)
-        resid = y - X @ coef
-        denom = (1.0 - df / n) ** 2
-        value = (
-            math.inf if denom < ens.DEGENERATE_DENOMINATOR
-            else float(np.mean(resid**2)) / denom
-        )
+        fit = ens.EnsembleFit(lam=lam, k=data.n, M=1, coef=coef,
+                              union_indices=rows, mean_trace=df)
+        value = ens.gcv(fit, data).value
         if best is None or value < best[1]:
-            best = (lam, value, coef, df)
-    lam, value, coef, df = best
-    rows = np.arange(n)
-    member = ens.Member(indices=rows, coef=coef, trace_contribution=df)
-    fit = ens.EnsembleFit(lam=lam, k=n, members=(member,), coef=coef,
-                          union_indices=rows)
-    return lam, value, fit
+            best = (lam, value, fit)
+    return best

@@ -457,6 +457,24 @@ class TestTune:
         assert [[int(k), float(g)] for k, g in rows] == result["path"]
         assert [result["k_hat"], result["gcv_at_k_hat"]] in result["path"]
 
+    def test_manifest_counts_the_baseline_eigh(self, tmp_path):
+        # The baseline's penalty path costs one eigh, recorded apart from
+        # the grid's members, which stay M per nonzero grid size.
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path)
+        for flags, eighs in (([], 1), (["--no-baseline"], 0)):
+            out = tmp_path / f"eighs{eighs}"
+            assert run_cli(["tune", "--data", csv_path, "--target", "target",
+                            "--M", 3, "--seed", 4, "--out-dir", out, *flags]) == 0
+            manifest = json.loads((out / "tune_manifest.json").read_text())
+            result = json.loads((out / "tune_result.json").read_text())
+            assert manifest["baseline_solve_counts"] == {
+                "cholesky": 0, "certified": 0, "spectral": eighs,
+                "rank_deficient": 0}
+            counts = manifest["solve_counts"]
+            assert counts["cholesky"] + counts["certified"] + counts["spectral"] \
+                == 3 * sum(1 for k, _ in result["path"] if k > 0)
+
     def test_fits_each_ensemble_once(self, tmp_path, monkeypatch):
         # The holdout predictions reuse tune_k's coefficients at k_hat and
         # tune_lambda's baseline fit: one ensemble per grid point, no refit.

@@ -30,6 +30,13 @@ def make_data(rng, n, p, beta0=None, sigma=1.0):
     return Dataset(X, y)
 
 
+def members(data, k, M, lam, seed):
+    """(indices, coef, df) of each member of ensemble_fit(data, k, M, lam,
+    seed), regenerated from its subsets."""
+    return [(idx, *_RidgeSolver(data, idx).solve(lam))
+            for idx in sample_subsets(data.n, k, M, seed)]
+
+
 class TestRidgeFit:
     """The full-data one-member ensemble is the ridge fit of (X, y)."""
 
@@ -286,11 +293,11 @@ class TestComplementGram:
         formed = count_full_grams(monkeypatch)
         rng = np.random.default_rng(21)
         data = make_data(rng, 30, 50)
-        fit = ensemble_fit(data, 20, 3, 0.1, seed=2)  # 2k > n, but k < p
+        ensemble_fit(data, 20, 3, 0.1, seed=2)  # 2k > n, but k < p
         assert formed == []
-        X = data.X[fit.members[0].indices]
-        np.testing.assert_array_equal(
-            _RidgeSolver(data, fit.members[0].indices).gram, X @ X.T)
+        idx = sample_subsets(data.n, 20, 3, seed=2)[0]
+        X = data.X[idx]
+        np.testing.assert_array_equal(_RidgeSolver(data, idx).gram, X @ X.T)
 
 
 class TestSampleSubsets:
@@ -326,26 +333,42 @@ class TestEnsembleFit:
         data = make_data(rng, 40, 10)
         fit = ensemble_fit(data, 20, 8, 0.3, seed=11)
         recomputed = np.mean(
-            [ensemble_fit(Dataset(data.X[m.indices], data.y[m.indices]),
+            [ensemble_fit(Dataset(data.X[idx], data.y[idx]),
                           20, 1, 0.3, seed=0).coef
-             for m in fit.members],
+             for idx in sample_subsets(data.n, 20, 8, seed=11)],
             axis=0,
         )
         np.testing.assert_allclose(fit.coef, recomputed, atol=1e-12)
 
+    # Ridge and ridgeless, dual, primal and complement members; p = 1 with
+    # M = 20 stacks the members as (M, 1), which numpy sums pairwise.
+    @pytest.mark.parametrize("n, p, k, M, lam", [
+        (40, 10, 20, 8, 0.3), (40, 10, 30, 5, 0.0), (30, 50, 12, 4, 0.0),
+        (25, 1, 10, 20, 0.2), (25, 1, 20, 20, 0.0),
+    ])
+    def test_fit_is_exactly_its_members_averaged(self, n, p, k, M, lam):
+        data = make_data(np.random.default_rng(24), n, p)
+        fit = ensemble_fit(data, k, M, lam, seed=12)
+        solved = members(data, k, M, lam, seed=12)
+        assert fit.M == M and fit.k == k and fit.lam == lam
+        np.testing.assert_array_equal(
+            fit.coef, np.mean([coef for _, coef, _ in solved], axis=0))
+        assert fit.mean_trace == np.mean([df for _, _, df in solved])
+        np.testing.assert_array_equal(
+            fit.union_indices,
+            np.unique(np.concatenate([idx for idx, _, _ in solved])))
+
     def test_ridgeless_trace_is_k_when_overparameterized(self):
         rng = np.random.default_rng(5)
         data = make_data(rng, 30, 50)
-        fit = ensemble_fit(data, 12, 4, 0.0, seed=2)
-        for m in fit.members:
-            assert m.trace_contribution == pytest.approx(12)
+        for _, _, df in members(data, 12, 4, 0.0, seed=2):
+            assert df == pytest.approx(12)
 
     def test_trace_bounds(self):
         rng = np.random.default_rng(6)
         data = make_data(rng, 30, 8)
-        fit = ensemble_fit(data, 15, 5, 0.2, seed=3)
-        for m in fit.members:
-            assert 0.0 <= m.trace_contribution <= 8.0
+        for _, _, df in members(data, 15, 5, 0.2, seed=3):
+            assert 0.0 <= df <= 8.0
 
     @pytest.mark.parametrize("k", [0, 5])
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
@@ -360,7 +383,7 @@ class TestEnsembleFit:
         data = make_data(np.random.default_rng(23), 30, 8)
         k = {"1": 1, "p": data.p, "n": data.n}[size]
         fit = ensemble_fit(data, k, M, 0.1, seed=4)
-        expected = np.unique(np.concatenate([m.indices for m in fit.members]))
+        expected = np.unique(np.concatenate(sample_subsets(data.n, k, M, seed=4)))
         np.testing.assert_array_equal(fit.union_indices, expected)
         assert fit.union_indices.dtype == expected.dtype
 
@@ -374,6 +397,7 @@ class TestEnsembleFit:
         data = make_data(rng, 10, 3)
         fit = ensemble_fit(data, 0, 4, 0.1, seed=0)
         assert fit.k == 0 and fit.union_indices.size == 0
+        assert fit.M == 0 and fit.mean_trace == 0.0
         np.testing.assert_array_equal(fit.coef, np.zeros(3))
         assert training_error(fit, data) == pytest.approx(np.mean(data.y**2))
         assert oob_error(fit, data) == pytest.approx(np.mean(data.y**2))
@@ -395,8 +419,8 @@ def test_member_df_and_gcv_at_boundary_sizes(n, p, size, lam, M, seed):
     data = make_data(np.random.default_rng(seed), n, p)
     k = {"1": 1, "p": min(p, n), "n": n}[size]
     fit = ensemble_fit(data, k, M, lam, seed)
-    for member in fit.members:
-        assert 0.0 <= member.trace_contribution <= min(k, p)
+    for _, _, df in members(data, k, M, lam, seed):
+        assert 0.0 <= df <= min(k, p)
     report = gcv(fit, data)
     assert report.degenerate or math.isfinite(report.value)
 
@@ -420,7 +444,8 @@ class TestErrors:
         rng = np.random.default_rng(10)
         data = make_data(rng, 25, 6)
         fit = ensemble_fit(data, 10, 5, 0.2, seed=6)
-        resids = [data.y - data.X @ m.coef for m in fit.members]
+        resids = [data.y - data.X @ coef
+                  for _, coef, _ in members(data, 10, 5, 0.2, seed=6)]
         M = len(resids)
         total = 0.0
         for a in range(M):
@@ -483,7 +508,9 @@ class TestPredictAndRisk:
         data = make_data(rng, 30, 7)
         fit = ensemble_fit(data, 15, 4, 0.2, seed=10)
         X_new = rng.standard_normal((8, 7))
-        member_avg = np.mean([X_new @ m.coef for m in fit.members], axis=0)
+        member_avg = np.mean(
+            [X_new @ coef for _, coef, _ in members(data, 15, 4, 0.2, seed=10)],
+            axis=0)
         np.testing.assert_allclose(predict(fit, X_new), member_avg, atol=1e-12)
 
     def test_zero_input(self):

@@ -1,0 +1,43 @@
+"""The public names, and the signatures the benchmark under `perfbench/`
+binds by parameter name or calls by keyword."""
+
+import dataclasses
+import inspect
+
+import subridge
+from subridge import ensemble
+
+
+def parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_every_exported_name_resolves():
+    for name in subridge.__all__:
+        assert hasattr(subridge, name), name
+
+
+def test_member_is_gone():
+    assert "Member" not in subridge.__all__
+    assert not hasattr(subridge, "Member")
+    assert not hasattr(ensemble, "Member")
+    assert [f.name for f in dataclasses.fields(subridge.EnsembleFit)] == [
+        "lam", "k", "M", "coef", "union_indices", "mean_trace"]
+
+
+def test_traced_signatures():
+    # perfbench/tracing.py binds these leading parameters by name.
+    assert parameters(subridge.ensemble_fit) == ["data", "k", "M", "lam", "seed"]
+    assert parameters(subridge.solve_v) == ["lam", "theta", "H"]
+
+
+def test_theory_workload_calls():
+    # perfbench/workloads.py calls ar1_model(rho, p_ref=, sigma2=) and
+    # unpacks three values, then gcv_limit_finite_M(lam, phi, phis, model, M=).
+    built = subridge.ar1_model(0.5, p_ref=20, sigma2=1.0)
+    assert isinstance(built, tuple) and len(built) == 3
+    model = built[0]
+    assert parameters(subridge.gcv_limit_finite_M)[:4] == [
+        "lam", "phi", "phis", "model"]
+    value = subridge.gcv_limit_finite_M(0.1, 0.5, 2.0, model, M=3)
+    assert value > 0

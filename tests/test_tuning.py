@@ -19,6 +19,7 @@ from subridge import (
     tune_k,
     tune_lambda,
 )
+from subridge.ensemble import DEGENERATE_DENOMINATOR, _RidgeSolver, solve_counts
 
 
 class TestSubsampleGrid:
@@ -204,6 +205,35 @@ class TestTuneLambda:
         df = np.sum(e / (e + n * 0.5))
         expected = np.mean(resid**2) / (1.0 - df / n) ** 2
         assert value == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n, p", [(80, 20), (40, 50)],
+                             ids=["primal", "dual"])
+    def test_value_is_the_full_data_gcv_bit_for_bit(self, n, p):
+        # The GCV of the full-data ridge fit written out inline; at p > n
+        # and lambda = 0 its denominator degenerates.
+        rng = np.random.default_rng(42)
+        X = rng.standard_normal((n, p))
+        data = Dataset(X, X @ rng.standard_normal(p) + rng.standard_normal(n))
+        grid = [0.0, 0.01, 0.1, 1.0]
+        solver = _RidgeSolver(data)
+        inline = {}
+        for lam in grid:
+            coef, df = solver.spectral(lam)
+            resid = data.y - data.X @ coef
+            denom = (1.0 - df / n) ** 2
+            inline[lam] = (math.inf if denom < DEGENERATE_DENOMINATOR
+                           else float(np.mean(resid**2)) / denom)
+        lam_best, value, _ = tune_lambda(data, grid)
+        assert value == inline[lam_best] == min(inline.values())
+
+    def test_counts_one_eigh_for_the_path(self):
+        rng = np.random.default_rng(42)
+        data = Dataset(rng.standard_normal((50, 8)), rng.standard_normal(50))
+        before = solve_counts()
+        tune_lambda(data, [0.0, 0.01, 0.1, 1.0])
+        after = solve_counts()
+        assert {key: n - before[key] for key, n in after.items()} == {
+            "cholesky": 0, "certified": 0, "spectral": 1, "rank_deficient": 0}
 
     def test_returns_the_fit_at_the_selected_penalty(self):
         rng = np.random.default_rng(39)
