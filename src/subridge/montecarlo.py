@@ -48,8 +48,9 @@ class SimConfig:
             raise ValueError("lambda_grid values must be finite and nonnegative")
         if not 0 < self.phi < math.inf:
             raise ValueError("phi must be positive and finite")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
+        if self.p < 5:
+            raise ValueError("p must be at least 5 (the signal spans five "
+                             "eigenvectors)")
         if not 0 <= self.sigma2 < math.inf:
             raise ValueError("sigma2 must be finite and nonnegative")
         check_rho_ar1(self.rho_ar1)
@@ -131,50 +132,35 @@ class SimResult:
         return out
 
 
-@lru_cache(maxsize=8)
-def _ar1_cache(rho_ar1: float, p: int, sigma2: float):
-    """(model, Cholesky factor of the covariance, beta0). The model and
-    beta0 are ar1_model's cached spectrum; only the factor is computed
-    here."""
-    model, cov, beta0 = ar1_model(rho_ar1, p_ref=p, sigma2=sigma2)
-    chol = np.linalg.cholesky(cov)
-    chol.setflags(write=False)
-    return model, chol, beta0
-
-
-# Bytes of Gaussian draws multiplied by the Cholesky factor at a time.
-_DRAW_BLOCK_BYTES = 1 << 20
-
-
 def generate_ar1(
     n: int, p: int, rho_ar1: float, sigma2: float, seed
 ) -> tuple[ens.Dataset, np.ndarray]:
     """Draw a dataset with AR(1)-correlated Gaussian features.
 
     Rows of X are N(0, Sigma) with Sigma_ij = rho_ar1^|i-j|, rho_ar1 in
-    [0, 1); the signal puts equal weight on the top five eigenvectors of
-    Sigma; noise is N(0, sigma2). Deterministic given the seed.
+    [0, 1), p >= 5; the signal is `ar1_model`'s beta0, equal weight on the
+    top five eigenvectors of Sigma; noise is N(0, sigma2). Deterministic
+    given the seed.
 
-    X is drawn in row blocks of about _DRAW_BLOCK_BYTES into one array, so
-    the draw needs one design plus one block. The generator's stream is
-    sequential, so the blocks hold the same standard normals as a single
-    (n, p) draw, and each block multiplies the Cholesky factor over the
-    full inner dimension p. BLAS may still round a row differently in a
-    smaller product: with OpenBLAS 0.3.31 on an AVX-512 CPU in one thread,
-    as `run_experiment`'s workers run it, the blocks give the single
-    product bit for bit at the shapes of `subridge verify`, the demos and
-    the benchmark (n = 4000, p = 400), but not at every shape (n = 4000,
-    p = 700 and n = 600, p = 300 differ in the last bit).
+    X is one (n, p) standard normal draw Z, turned in place, column by
+    column, by the AR(1) recursion
+    x_j = rho_ar1 * x_{j-1} + sqrt(1 - rho_ar1^2) * z_j into Z L', with L
+    the Cholesky factor of Sigma. No BLAS call forms X, so its bytes do not
+    depend on the BLAS thread count. The noise continues the generator's
+    stream after Z.
     """
     if not 0 <= sigma2 < math.inf:
         raise ValueError("sigma2 must be finite and nonnegative")
-    _, chol, beta0 = _ar1_cache(rho_ar1, p, sigma2)
+    if p < 5:
+        raise ValueError("p must be at least 5 (the signal spans five "
+                         "eigenvectors)")
+    _, _, beta0 = ar1_model(rho_ar1, p_ref=p)
     rng = np.random.default_rng(seed)
-    X = np.empty((n, p))
-    rows = max(1, _DRAW_BLOCK_BYTES // (8 * p))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        np.matmul(rng.standard_normal((stop - start, p)), chol.T, out=X[start:stop])
+    X = rng.standard_normal((n, p))
+    scale = math.sqrt(1.0 - rho_ar1 * rho_ar1)
+    for j in range(1, p):
+        X[:, j] *= scale
+        X[:, j] += rho_ar1 * X[:, j - 1]
     y = X @ beta0 + (
         math.sqrt(sigma2) * rng.standard_normal(n) if sigma2 > 0 else 0.0
     )
@@ -272,7 +258,7 @@ def _plan(config: SimConfig):
     gcv_theory). Cached, so a worker computes the theory once for all of
     its replicates."""
     p = config.p
-    model, _, _ = _ar1_cache(config.rho_ar1, p, config.sigma2)
+    model, _, _ = ar1_model(config.rho_ar1, p_ref=p, sigma2=config.sigma2)
     cells = [
         (k, lam, M)
         for k in config.k_grid

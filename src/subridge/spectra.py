@@ -171,10 +171,10 @@ def _ar1_spectrum(rho_ar1: float, p_ref: int):
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
     beta0 = eigvecs[:, -5:].sum(axis=1) / 5.0
     H = SpectralMeasure(values=eigvals, weights=np.full(p_ref, 1.0 / p_ref))
-    G, rho2 = signal_measure(beta0, eigvecs, eigvals)
+    G = SpectralMeasure(values=eigvals[-5:], weights=np.full(5, 0.2))
     cov.setflags(write=False)
     beta0.setflags(write=False)
-    return H, G, rho2, cov, beta0
+    return H, G, 0.2, cov, beta0
 
 
 def ar1_model(
@@ -182,10 +182,11 @@ def ar1_model(
 ) -> tuple[ModelSpec, np.ndarray, np.ndarray]:
     """AR(1) population model.
 
-    The covariance has entries rho_ar1^|i-j|; the signal is the average of the
-    top five eigenvectors scaled by 1/5, so rho2 = ||beta0||^2 = 1/5 exactly.
-    H is the empirical eigenvalue law (p_ref atoms); G puts weight 1/5 on each
-    of the five largest eigenvalues.
+    The covariance has entries rho_ar1^|i-j|, and H is its eigenvalue law
+    (p_ref atoms). The signal is the sum of the top five eigenvectors scaled
+    by 1/5, so G is weight 1/5 on each of H's five largest atoms and
+    rho2 = 1/5, both stated exactly; the returned beta0, built from `eigh`'s
+    eigenvectors, has squared norm 1/5 only up to their rounding.
 
     Returns (model, covariance, beta0). The spectrum is computed once per
     (rho_ar1, p_ref) in a process (the last AR1_CACHE_SIZE pairs are kept),

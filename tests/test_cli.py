@@ -287,6 +287,7 @@ SIM_CONFIG_ERRORS = [
     ("rho_ar1 = 1", "rho_ar1 must lie in [0, 1)"),
     ("rho_ar1 = -0.5", "rho_ar1 must lie in [0, 1)"),
     ("rho_ar1 = nan", "rho_ar1 must lie in [0, 1)"),
+    ("p = 3", "p must be at least 5 (the signal spans five eigenvectors)"),
 ]
 
 
@@ -339,10 +340,10 @@ class TestSim:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_same_bytes_for_any_caller_blas_threads(self, tmp_path):
-        # At p = 300, n = 600 a design drawn with two BLAS threads differs
-        # in the last bits from one drawn with one thread, and so does the
-        # theory's spectrum; every replicate and the theory run in workers
-        # with one BLAS thread, whatever the caller's setting.
+        # At p = 300 the theory's spectrum H computed with two BLAS threads
+        # differs in the last bits from one computed with one thread; every
+        # replicate and the theory run in workers with one BLAS thread,
+        # whatever the caller's setting.
         cfg = tmp_path / "config.txt"
         cfg.write_text("phi = 0.5\np = 300\nk_grid = 100,600\nlambda_grid = 0.1\n"
                        "M_list = 2\nreps = 2\nmaster_seed = 4\n")
@@ -396,7 +397,8 @@ class TestSim:
     def test_value_every_cell_rejects_is_a_config_error(self, tmp_path, capsys,
                                                          line, message):
         key = line.split(" = ")[0]
-        kept = [c for c in self.CONFIG.splitlines() if not c.startswith(key)]
+        kept = [c for c in self.CONFIG.splitlines()
+                if not c.startswith(f"{key} = ")]
         cfg = tmp_path / "bad.txt"
         cfg.write_text("\n".join(kept + [line]) + "\n")
         rc = run_cli(["sim", "--config", cfg, "--out-dir", tmp_path / "out"])

@@ -54,6 +54,8 @@ class TestGenerateAr1:
         ]:
             with pytest.raises(ValueError, match=message):
                 generate_ar1(10, 5, rho, sigma2, seed=0)
+        with pytest.raises(ValueError, match=r"^p must be at least 5 "):
+            generate_ar1(10, 4, 0.5, 1.0, seed=0)
 
     def test_rho_zero_draws_isotropic_features(self):
         data, beta0 = generate_ar1(30, 6, 0.0, 0.0, seed=3)
@@ -61,26 +63,68 @@ class TestGenerateAr1:
         np.testing.assert_array_equal(data.X, Z)  # the Cholesky factor is I
         assert beta0 @ beta0 == pytest.approx(0.2, rel=1e-12)
 
-    @pytest.mark.parametrize("n, p, block_bytes", [
-        (1000, 40, 8 * 40 * 64),    # 64-row blocks, 40 rows left over
-        (97, 30, 8 * 30 * 10 + 5),  # 10-row blocks, 7 rows left over
-        (25, 12, 8),                # a block holds less than one row
-    ], ids=["several-blocks", "remainder", "one-row-blocks"])
-    def test_blocked_draw_is_one_draw_of_the_stream(self, monkeypatch, n, p,
-                                                    block_bytes):
-        # The blocks take the generator's normals in order: X is the single
-        # (n, p) draw times the Cholesky factor, up to the rounding of the
-        # block products (BLAS may order a row's sums differently in a
-        # smaller product), and the noise continues the same stream.
-        monkeypatch.setattr(mc, "_DRAW_BLOCK_BYTES", block_bytes)
-        sigma2 = 0.7
-        data, beta0 = generate_ar1(n, p, 0.5, sigma2, seed=11)
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99])
+    def test_recursion_is_the_cholesky_product_of_the_stream(self, rho):
+        # X is Z L' for the generator's one (n, p) draw Z and L the Cholesky
+        # factor of Sigma, up to the rounding of the recursion and of the
+        # factor and product below; the noise continues the same stream.
+        n, p, sigma2 = 200, 300, 0.7
+        data, beta0 = generate_ar1(n, p, rho, sigma2, seed=11)
         rng = np.random.default_rng(11)
-        _, chol, _ = mc._ar1_cache(0.5, p, sigma2)
-        expected = rng.standard_normal((n, p)) @ chol.T
-        np.testing.assert_allclose(data.X, expected, rtol=0, atol=1e-14)
+        Z = rng.standard_normal((n, p))
+        chol = np.linalg.cholesky(ar1_covariance(rho, p))
+        expected = Z @ chol.T
         noise = math.sqrt(sigma2) * rng.standard_normal(n)
         np.testing.assert_array_equal(data.y, data.X @ beta0 + noise)
+
+        # The exact factor: L[j, 0] = rho^j and L[j, i] = rho^(j-i) s for
+        # 0 < i <= j, with s = sqrt(1 - rho^2). Computed in floats, each
+        # entry is off by at most delta_L relative: pow's ulp, the product
+        # and the rounding of s (delta_s, 1 - rho^2 cancels).
+        u = np.finfo(float).eps / 2
+        s = math.sqrt(1.0 - rho * rho)
+        delta_s = u * (1.0 + 1.0 / (1.0 - rho * rho))
+        delta_L = 3 * u + delta_s
+        lags = np.subtract.outer(np.arange(p), np.arange(p))
+        exact = np.where(lags >= 0, rho ** np.maximum(lags, 0), 0.0)
+        exact[:, 1:] *= s
+        absZ = np.abs(Z)
+        # Cholesky side: the product's error gamma_p |Z| |chol|' plus the
+        # factor's own error, |chol - L| <= |chol - exact| + delta_L |exact|.
+        gamma_p = p * u / (1 - p * u)
+        bound = (gamma_p * absZ @ np.abs(chol).T
+                 + absZ @ (np.abs(chol - exact) + delta_L * exact).T)
+        # Recursion side: each step's two products and sum round by at most
+        # 2u (|s z_j| + rho |x_{j-1}|), and earlier errors decay by rho; a
+        # rounded s moves x_j by at most delta_s |Z| |L|'.
+        running = np.zeros(n)
+        for j in range(1, p):
+            running = rho * running + 2 * u * (
+                s * absZ[:, j] + rho * np.abs(data.X[:, j - 1]))
+            bound[:, j] += running
+        bound += delta_s * absZ @ exact.T
+        assert np.all(np.abs(data.X - expected) <= bound)
+
+    @pytest.mark.parametrize("n, p", [(600, 300), (4000, 700)])
+    def test_design_does_not_depend_on_blas_threads(self, tmp_path, n, p):
+        # The recursion forms X without BLAS, so X has the same bytes for
+        # any caller BLAS thread setting, at shapes where BLAS products of
+        # the draw rounded differently.
+        designs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"X{threads}.bin"
+            code = ("import sys; from subridge import generate_ar1; "
+                    f"generate_ar1({n}, {p}, 0.5, 1.0, seed=3)[0].X"
+                    ".tofile(sys.argv[1])")
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(path)], capture_output=True,
+                text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": SRC,
+                     "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            designs.append(path.read_bytes())
+        assert len(designs[0]) == 8 * n * p
+        assert designs[0] == designs[1]
 
 
 def small_config(**overrides):
@@ -95,6 +139,11 @@ def small_config(**overrides):
 class TestSimConfig:
     def test_n_from_aspect(self):
         assert small_config().n == 40
+
+    @pytest.mark.parametrize("p", [0, 3, 4])
+    def test_p_below_five_is_rejected_by_name(self, p):
+        with pytest.raises(ValueError, match=r"^p must be at least 5 "):
+            small_config(p=p)
 
     def test_k_grid_cannot_exceed_n(self):
         with pytest.raises(ValueError):

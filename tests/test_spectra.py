@@ -101,6 +101,23 @@ def test_ar1_model_signal_energy():
     assert model.G.support[0] >= e[-5] - 1e-12
 
 
+@pytest.mark.parametrize("p_ref", [5, 60, 500])
+@pytest.mark.parametrize("rho", [0.0, 0.25, 0.5, 0.9])
+def test_ar1_model_signal_law_is_exact(rho, p_ref):
+    # By definition G is 1/5 on each of H's five largest atoms and
+    # rho2 = 1/5; the squared projections of the returned beta0 onto the
+    # eigenvectors agree with that law to rounding.
+    model, cov, beta0 = ar1_model(rho, p_ref=p_ref)
+    assert model.rho2 == 0.2
+    assert model.G.values.tobytes() == model.H.values[:5].tobytes()
+    assert np.all(model.G.weights == 0.2)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    G, rho2 = signal_measure(beta0, eigvecs, eigvals)
+    np.testing.assert_allclose(G.values, model.G.values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(G.weights, model.G.weights, rtol=0, atol=1e-12)
+    assert rho2 == pytest.approx(0.2, rel=1e-12)
+
+
 def test_ar1_model_arrays_are_read_only_and_shared_across_sigma2():
     model1, cov1, beta1 = ar1_model(0.5, p_ref=40, sigma2=1.0)
     model2, cov2, beta2 = ar1_model(0.5, p_ref=40, sigma2=2.5)
