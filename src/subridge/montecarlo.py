@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -65,25 +65,26 @@ class SimConfig:
     def from_mapping(cls, items: dict[str, str]) -> "SimConfig":
         """Build a config from flat string key/value pairs (config files).
 
-        k_grid, lambda_grid and M_list are comma-separated lists.
+        k_grid, lambda_grid and M_list are comma-separated lists. A value
+        that does not convert is a ValueError that names its key.
         """
-        known = {
-            "phi": float, "p": int, "reps": int, "rho_ar1": float,
-            "sigma2": float, "master_seed": int,
+        def listed(convert):
+            return lambda raw: tuple(convert(v) for v in raw.split(","))
+
+        parsers = {
+            "phi": float, "p": int, "k_grid": listed(int),
+            "lambda_grid": listed(float), "M_list": listed(int), "reps": int,
+            "rho_ar1": float, "sigma2": float, "master_seed": int,
         }
         kwargs = {}
         for key, raw in items.items():
-            if key == "k_grid":
-                kwargs[key] = tuple(int(v) for v in raw.split(","))
-            elif key == "lambda_grid":
-                kwargs[key] = tuple(float(v) for v in raw.split(","))
-            elif key == "M_list":
-                kwargs[key] = tuple(int(v) for v in raw.split(","))
-            elif key in known:
-                kwargs[key] = known[key](raw)
-            else:
+            if key not in parsers:
                 raise ValueError(f"unknown config key {key!r}")
-        missing = {"phi", "p", "k_grid", "lambda_grid", "M_list", "reps"} - set(kwargs)
+            try:
+                kwargs[key] = parsers[key](raw)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         return cls(**kwargs)
@@ -252,11 +253,9 @@ def _score_replicate(config: SimConfig, rep: int, rows, coefs) -> None:
             _record_failure(row, exc)
 
 
-@lru_cache(maxsize=8)
 def _plan(config: SimConfig):
     """The sweep's cells in order, and each cell's (phis, risk_theory,
-    gcv_theory). Cached, so a worker computes the theory once for all of
-    its replicates."""
+    gcv_theory)."""
     p = config.p
     model, _, _ = ar1_model(config.rho_ar1, p_ref=p, sigma2=config.sigma2)
     cells = [

@@ -214,40 +214,51 @@ def _two_member_train_weights(ell: float, x: float) -> tuple[float, float]:
     return on_r1, on_rinf
 
 
+def _check_ensemble_size(M: float) -> None:
+    if not (M >= 1 and (M == math.inf or M == int(M))):
+        raise ValueError("M must be a positive integer or inf")
+
+
 def _training_error(point: _Solved, phi: float, M: float, model: ModelSpec) -> float:
-    phis, ell = point.sol.theta, point.sol.ell
+    """Limit of the M-member ensemble's training error over the union of its
+    subsamples. M = 1 (ell^2 R_1) and M = 2 (the two-member weights) have
+    closed forms. Every other M, inf included, blends them with the one- and
+    two-member risks: with x = phi/phis the union covers 1 - (1 - x)^M of the
+    data, j members train on the share c_j = (1 - (1 - x)^j) / cover of it,
+    and e_j = c_j t_j + (1 - c_j) R_j gives 2 e_2 - e_1 + (2/M)(e_1 - e_2).
+    """
+    ell = point.sol.ell
     r1 = _decomposition(point, phi, 1, model).risk
+    t1 = ell * ell * r1
     if M == 1:
-        return ell * ell * r1
+        return t1
+    x = phi / point.sol.theta
     rinf = _decomposition(point, phi, math.inf, model).risk
-    on_r1, on_rinf = _two_member_train_weights(ell, phi / phis)
+    on_r1, on_rinf = _two_member_train_weights(ell, x)
     t2 = on_r1 * r1 + on_rinf * rinf
     if M == 2:
         return t2
-    if math.isinf(M):
-        t1 = ell * ell * r1
-        r2 = 0.5 * (r1 + rinf)
-        c1 = phi / phis
-        c2 = 2.0 * phi * (2.0 * phis - phi) / phis**2
-        return (
-            c2 * t2
-            + 2.0 * (phis - phi) ** 2 / phis**2 * r2
-            - c1 * t1
-            - (phis - phi) / phis * r1
-        )
-    raise ValueError("closed form available only for M in {1, 2, inf}")
+    r2 = _decomposition(point, phi, 2, model).risk
+    cover = 1.0 - (1.0 - x) ** M
+    c1, c2 = ((1.0 - (1.0 - x) ** j) / cover for j in (1, 2))
+    e1 = c1 * t1 + (1.0 - c1) * r1
+    e2 = c2 * t2 + (1.0 - c2) * r2
+    return 2.0 * e2 - e1 + (2.0 / M) * (e1 - e2)
 
 
 def training_error_limit(
     lam: float, phi: float, phis: float, model: ModelSpec, M: float
 ) -> float:
-    """Limit of the ensemble training error over the union of subsamples.
+    """Limit of the ensemble training error over the union of subsamples,
+    for a positive integer M or M = inf.
 
-    Available in closed form for M in {1, 2, inf}; the residuals of distinct
-    members are correlated through subsample overlap, which is what couples
-    the M = 2 and M = inf expressions to both R_1 and R_inf.
+    M = 1 and M = 2 have closed forms; every other M blends them with the
+    one- and two-member risks over the share of the union each covers. The
+    residuals of distinct members are correlated through subsample overlap,
+    which couples every M >= 2 to both R_1 and R_inf.
     """
     _validate_aspects(lam, phi, phis)
+    _check_ensemble_size(M)
     if math.isinf(phis) or math.isinf(lam):
         # Null predictor: training and test errors coincide.
         return model.null_risk
@@ -270,40 +281,28 @@ def gcv_limit_finite_M(
 ) -> float:
     """Limit of the GCV statistic computed from an M-member ensemble.
 
-    For finite M the union of subsamples covers only part of the data, and
-    the limit blends training errors and risks of one- and two-member
-    ensembles. It equals the M-member risk when phis = phi, and converges to
+    For finite M the union of subsamples covers only part of the data; the
+    numerator is the union training error of :func:`training_error_limit`.
+    The limit equals the M-member risk when phis = phi, and converges to
     the full-ensemble risk as M grows, but is inflated at intermediate M
     with subsampling.
     """
     _validate_aspects(lam, phi, phis)
+    _check_ensemble_size(M)
     if math.isinf(M):
         return gcv_limit(lam, phi, phis, model)
-    if M < 1 or M != int(M):
-        raise ValueError("M must be a positive integer or inf")
     if math.isinf(phis) or math.isinf(lam):
         return model.null_risk
     point = _solve(lam, phis, model)
     x = phi / phis
-    cover = 1.0 - (1.0 - x) ** M  # limiting covered fraction |union| / n
-    e = {}
-    for j in (1, 2):
-        c_j = (1.0 - (1.0 - x) ** j) / cover
-        t_j = _training_error(point, phi, j, model)
-        r_j = _decomposition(point, phi, j, model).risk
-        e[j] = c_j * t_j + (1.0 - c_j) * r_j
-    if M == 1:
-        numerator = e[1]
-    else:
-        numerator = 2.0 * e[2] - e[1] + (2.0 / M) * (e[1] - e[2])
-    u = x / cover
+    u = x / (1.0 - (1.0 - x) ** M)  # x over the union's limiting cover
     denominator = (1.0 - u * (1.0 - point.sol.ell)) ** 2
     if denominator == 0.0:
         # Only possible when ell = 0 and the union is a single subsample
         # (M = 1 or phis = phi); the ell^2 factor then cancels exactly
         # against the numerator, leaving the M-member risk.
         return _decomposition(point, phi, M, model).risk
-    return numerator / denominator
+    return _training_error(point, phi, M, model) / denominator
 
 
 def inconsistency_gap(phi: float, phis: float, model: ModelSpec) -> float:

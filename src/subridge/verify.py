@@ -144,7 +144,7 @@ def criterion_contour_extension():
     iso = _iso_atom()
     spot = contour_lambda_for_phis(0.5, 2.0, iso.H)
     spot_err = abs(spot - 0.75)
-    passed = worst <= 1e-10 and spot_err <= 1e-10
+    passed = bool(worst <= 1e-10 and spot_err <= 1e-10)
     return passed, (
         f"max risk mismatch over 20 pairs {worst:.2e}; "
         f"isotropic lam_bar(0.5, 2) error {spot_err:.2e}"

@@ -13,4 +13,4 @@ from subridge.verify import REGISTRY
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_criterion(name):
     passed, detail = REGISTRY[name]()
-    assert passed, f"{name}: {detail}"
+    assert passed is True, f"{name}: {detail}"

@@ -288,6 +288,10 @@ SIM_CONFIG_ERRORS = [
     ("rho_ar1 = -0.5", "rho_ar1 must lie in [0, 1)"),
     ("rho_ar1 = nan", "rho_ar1 must lie in [0, 1)"),
     ("p = 3", "p must be at least 5 (the signal spans five eigenvectors)"),
+    # A value that does not convert names its key.
+    ("p = abc", "p: invalid literal for int() with base 10: 'abc'"),
+    ("reps = 2.5", "reps: invalid literal for int() with base 10: '2.5'"),
+    ("k_grid = 10,x", "k_grid: invalid literal for int() with base 10: 'x'"),
 ]
 
 
@@ -815,10 +819,14 @@ class TestVerify:
         assert rc == 2
 
     def test_json_output(self, capsys):
-        rc = run_cli(["verify", "--json", "--only", "fixed-point,risk-closed-forms"])
+        # contour-extension's errors come from numpy arithmetic; its verdict
+        # must still serialize.
+        rc = run_cli(["verify", "--json", "--only",
+                      "fixed-point,risk-closed-forms,contour-extension"])
         results = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert [r["name"] for r in results] == ["fixed-point", "risk-closed-forms"]
+        assert [r["name"] for r in results] == [
+            "fixed-point", "risk-closed-forms", "contour-extension"]
         for r in results:
             assert r.keys() == {"name", "passed", "detail", "seconds"}
             assert r["passed"] is True and r["seconds"] >= 0.0

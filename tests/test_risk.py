@@ -304,6 +304,7 @@ def test_each_limit_solves_once(monkeypatch):
         lambda: asymptotic_risk(0.1, 0.2, 1.7, AR1, M=3),
         lambda: training_error_limit(0.1, 0.2, 1.7, AR1, M=math.inf),
         lambda: training_error_limit(0.1, 0.2, 1.7, AR1, M=2),
+        lambda: training_error_limit(0.1, 0.2, 1.7, AR1, M=5),
         lambda: gcv_denominator_limit(0.1, 0.2, 1.7, AR1.H),
         lambda: gcv_limit(0.1, 0.2, 1.7, AR1),
     ):
@@ -324,6 +325,56 @@ def test_two_member_training_error_matches_aspect_form():
         rinf = asymptotic_risk(lam, phi, phis, AR1).risk
         assert training_error_limit(lam, phi, phis, AR1, M=2) == pytest.approx(
             on_r1 * r1 + on_rinf * rinf, rel=1e-12)
+
+
+def test_full_ensemble_training_error_matches_aspect_form():
+    # Reference: the M = inf union error in (phi, phis), expanded by hand
+    # from the one- and two-member errors at cover 1. Near phis = phi the
+    # error is ~(1 - phi/phis)^2 R_inf, reached by cancelling terms of size
+    # R_1, so both forms carry rounding of order eps R_1.
+    rng = np.random.default_rng(6)
+    for model in (AR1, ISO):
+        for lam, phi, phis in random_tuples(rng, 25):
+            ell = solve_v(lam, phis, model.H).ell
+            r1 = asymptotic_risk(lam, phi, phis, model, M=1).risk
+            rinf = asymptotic_risk(lam, phi, phis, model).risk
+            d = 2.0 * phis - phi
+            t2 = (0.5 * ((phis - phi) + ell * ell * phis) / d * r1
+                  + 0.5 * (2.0 * ell * (phis - phi) + ell * ell * phi) / d * rinf)
+            want = (2.0 * phi * (2.0 * phis - phi) / phis**2 * t2
+                    + (phis - phi) ** 2 / phis**2 * (r1 + rinf)
+                    - phi / phis * ell * ell * r1
+                    - (phis - phi) / phis * r1)
+            got = training_error_limit(lam, phi, phis, model, M=math.inf)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * r1)
+
+
+@pytest.mark.parametrize("M", [3, 5, 50])
+def test_training_error_is_the_finite_M_gcv_numerator(M):
+    rng = np.random.default_rng(7)
+    for lam, phi, phis in random_tuples(rng, 25):
+        ell = solve_v(lam, phis, AR1.H).ell
+        u = (phi / phis) / (1.0 - (1.0 - phi / phis) ** M)
+        denominator = (1.0 - u * (1.0 - ell)) ** 2
+        assert training_error_limit(lam, phi, phis, AR1, M) == pytest.approx(
+            gcv_limit_finite_M(lam, phi, phis, AR1, M) * denominator, rel=1e-12)
+
+
+def test_training_error_approaches_full_limit_as_one_over_M():
+    # M (T_M - T_inf) settles once the union covers the data.
+    rng = np.random.default_rng(8)
+    for lam, phi, phis in random_tuples(rng, 10):
+        t_inf = training_error_limit(lam, phi, phis, AR1, M=math.inf)
+        scaled = [M * abs(training_error_limit(lam, phi, phis, AR1, M) - t_inf)
+                  for M in (500, 5000)]
+        assert scaled[0] == pytest.approx(scaled[1], rel=0.01)
+
+
+@pytest.mark.parametrize("M", [2.5, 0, -math.inf, math.nan])
+def test_ensemble_size_must_be_a_positive_integer_or_inf(M):
+    for limit in (training_error_limit, gcv_limit_finite_M):
+        with pytest.raises(ValueError, match="M must be a positive integer or inf"):
+            limit(0.1, 0.2, 1.7, AR1, M)
 
 
 @pytest.mark.parametrize("M", [1, 2, math.inf])
