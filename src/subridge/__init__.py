@@ -21,8 +21,6 @@ from .fixed_point import (
     ExcludedBoundaryError,
     FixedPointSolution,
     solve_v,
-    tilde_c,
-    tilde_v,
 )
 from .montecarlo import SimConfig, SimResult, generate_ar1, run_experiment
 from .risk import (
@@ -44,15 +42,13 @@ from .risk import (
 from .spectra import (
     ModelSpec,
     NullSignalError,
-    SingularCovarianceError,
     SpectralMeasure,
     ar1_covariance,
     ar1_model,
-    empirical_spectrum,
     isotropic_model,
     signal_measure,
 )
-from .tuning import TuneResult, lambda_hat, subsample_grid, tune_k, tune_lambda
+from .tuning import TuneResult, subsample_grid, tune_k, tune_lambda
 
 __all__ = [
     "__version__",
@@ -60,15 +56,14 @@ __all__ = [
     "conditional_risk", "ensemble_fit", "gcv", "oob_error", "predict",
     "sample_subsets", "training_error",
     "DivergentVarianceError", "ExcludedBoundaryError", "FixedPointSolution",
-    "solve_v", "tilde_c", "tilde_v",
+    "solve_v",
     "SimConfig", "SimResult", "generate_ar1", "run_experiment",
     "ContourPoint", "RiskDecomposition", "asymptotic_risk",
     "contour_lambda_for_phis", "equivalence_path", "gcv_denominator_limit",
     "gcv_limit", "gcv_limit_finite_M", "inconsistency_gap", "optimal_lambda",
     "optimal_subsample", "risk_surface", "surface_nan_reasons",
     "training_error_limit",
-    "ModelSpec", "NullSignalError", "SingularCovarianceError",
-    "SpectralMeasure", "ar1_covariance", "ar1_model", "empirical_spectrum",
-    "isotropic_model", "signal_measure",
-    "TuneResult", "lambda_hat", "subsample_grid", "tune_k", "tune_lambda",
+    "ModelSpec", "NullSignalError", "SpectralMeasure", "ar1_covariance",
+    "ar1_model", "isotropic_model", "signal_measure",
+    "TuneResult", "subsample_grid", "tune_k", "tune_lambda",
 ]

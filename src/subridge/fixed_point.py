@@ -30,8 +30,6 @@ __all__ = [
     "DivergentVarianceError",
     "FixedPointConvergenceError",
     "solve_v",
-    "tilde_v",
-    "tilde_c",
 ]
 
 RESIDUAL_TOL = 1e-12
@@ -69,10 +67,6 @@ class FixedPointSolution:
     v: float
     ell: float
     scaled_second_moment: float
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.v)
 
 
 _NEWTON_COUNTS = {"blocks": 0, "cells": 0, "cell_steps": 0, "seed_restarts": 0}
@@ -228,49 +222,17 @@ def solve_v(lam: float, theta: float, H: SpectralMeasure) -> FixedPointSolution:
 
 
 def _tilde_v_values(vartheta, a_hat):
-    """vartheta*Ahat / (1 - vartheta*Ahat), elementwise; the caller checks
-    that the denominator is positive."""
+    """Variance-inflation constant vtilde(-lam; vartheta, theta), elementwise.
+
+    Equal to vartheta*A / (v^-2 - vartheta*A) with A = int r^2 (1+vr)^-2 dH,
+    evaluated in the v^2-rescaled form vartheta*Ahat / (1 - vartheta*Ahat)
+    so the v = +inf regime is a regular point; the caller checks that the
+    denominator is positive."""
     return vartheta * a_hat / (1.0 - vartheta * a_hat)
 
 
 def _tilde_c_values(v: np.ndarray, G: SpectralMeasure) -> np.ndarray:
-    """int r (1 + v r)^-2 dG per cell: 0 where v = +inf, int r dG where v = 0."""
+    """Bias constant ctilde(-lam; theta) = int r (1 + v r)^-2 dG per cell:
+    0 where v = +inf, int r dG where v = 0."""
     q = 1.0 / (1.0 + np.multiply.outer(v, G.values))
     return q * q @ (G.weights * G.values)
-
-
-def tilde_v(
-    lam: float, vartheta: float, theta: float, H: SpectralMeasure,
-    sol: FixedPointSolution | None = None,
-) -> float:
-    """Variance-inflation constant vtilde(-lam; vartheta, theta).
-
-    Equal to vartheta*A / (v^-2 - vartheta*A) with A = int r^2 (1+vr)^-2 dH,
-    evaluated in the v^2-rescaled form vartheta*Ahat / (1 - vartheta*Ahat)
-    so the v = +inf regime is a regular point.
-    """
-    if vartheta > theta:
-        raise ValueError("vartheta must not exceed theta")
-    if sol is None:
-        sol = solve_v(lam, theta, H)
-    if 1.0 - vartheta * sol.scaled_second_moment <= 0.0:
-        raise DivergentVarianceError(
-            f"vartheta = {vartheta} at or above the interpolation threshold"
-        )
-    return _tilde_v_values(vartheta, sol.scaled_second_moment)
-
-
-def tilde_c(
-    lam: float, theta: float, G: SpectralMeasure,
-    sol: FixedPointSolution | None = None,
-    H: SpectralMeasure | None = None,
-) -> float:
-    """Bias constant ctilde(-lam; theta) = int r (1 + v r)^-2 dG.
-
-    Zero when v = +inf; int r dG when v = 0 (theta = inf limit).
-    """
-    if sol is None:
-        if H is None:
-            raise ValueError("either sol or H is required")
-        sol = solve_v(lam, theta, H)
-    return float(_tilde_c_values(np.array([sol.v]), G)[0])

@@ -29,7 +29,6 @@ from .fixed_point import (
     _tilde_c_values,
     _tilde_v_values,
     solve_v,
-    tilde_c,
 )
 from .spectra import ModelSpec, SpectralMeasure
 
@@ -90,7 +89,7 @@ def _check_phi(phi: float) -> None:
 
 def _validate_aspects(lam: float, phi: float, phis: float) -> None:
     _check_phi(phi)
-    if phis < phi:
+    if not phis >= phi:
         raise ValueError("phis must be at least phi")
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
@@ -107,7 +106,7 @@ class _Solved:
 
 def _solve(lam: float, phis: float, model: ModelSpec) -> _Solved:
     sol = solve_v(lam, phis, model.H)
-    return _Solved(sol, tilde_c(lam, phis, model.G, sol=sol))
+    return _Solved(sol, float(_tilde_c_values(np.array([sol.v]), model.G)[0]))
 
 
 def _bias_variance(phi, phis, M, a_hat, c_tilde, model: ModelSpec):
@@ -150,7 +149,7 @@ def asymptotic_risk(
     ``sigma2 + rho2 * int r dG``.
     """
     _validate_aspects(lam, phi, phis)
-    if M < 1:
+    if not M >= 1:
         raise ValueError("M must be at least 1")
     if math.isinf(phis) or math.isinf(lam):
         return RiskDecomposition(
@@ -223,9 +222,12 @@ def _training_error(point: _Solved, phi: float, M: float, model: ModelSpec) -> f
     """Limit of the M-member ensemble's training error over the union of its
     subsamples. M = 1 (ell^2 R_1) and M = 2 (the two-member weights) have
     closed forms. Every other M, inf included, blends them with the one- and
-    two-member risks: with x = phi/phis the union covers 1 - (1 - x)^M of the
-    data, j members train on the share c_j = (1 - (1 - x)^j) / cover of it,
-    and e_j = c_j t_j + (1 - c_j) R_j gives 2 e_2 - e_1 + (2/M)(e_1 - e_2).
+    two-member risks: with x = phi/phis and q = 1 - x the union covers
+    1 - q^M of the data, of which j members train on (1 - q^j) / cover and
+    leave out (q^j - q^M) / cover. Blending t_j and R_j by those shares into
+    e_j gives 2 e_2 - e_1 + (2/M)(e_1 - e_2). The left-out share is formed
+    as written, not as 1 minus the other, so the error, ~q^2 R_inf near
+    phis = phi, keeps its digits.
     """
     ell = point.sol.ell
     r1 = _decomposition(point, phi, 1, model).risk
@@ -239,10 +241,11 @@ def _training_error(point: _Solved, phi: float, M: float, model: ModelSpec) -> f
     if M == 2:
         return t2
     r2 = _decomposition(point, phi, 2, model).risk
-    cover = 1.0 - (1.0 - x) ** M
-    c1, c2 = ((1.0 - (1.0 - x) ** j) / cover for j in (1, 2))
-    e1 = c1 * t1 + (1.0 - c1) * r1
-    e2 = c2 * t2 + (1.0 - c2) * r2
+    q = 1.0 - x
+    q_M = q ** M  # 0 at M = inf
+    cover = 1.0 - q_M
+    e1, e2 = (((1.0 - q ** j) * t + (q ** j - q_M) * r) / cover
+              for j, t, r in ((1, t1, r1), (2, t2, r2)))
     return 2.0 * e2 - e1 + (2.0 / M) * (e1 - e2)
 
 

@@ -19,18 +19,12 @@ __all__ = [
     "SpectralMeasure",
     "ModelSpec",
     "NullSignalError",
-    "SingularCovarianceError",
     "ar1_model",
     "isotropic_model",
-    "empirical_spectrum",
     "signal_measure",
 ]
 
 WEIGHT_TOL = 1e-12
-
-
-class SingularCovarianceError(ValueError):
-    """Covariance matrix with a non-positive eigenvalue."""
 
 
 class NullSignalError(ValueError):
@@ -79,10 +73,6 @@ class SpectralMeasure:
     def mean(self) -> float:
         return float(np.sum(self.weights * self.values))
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.values.min()), float(self.values.max())
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -101,22 +91,6 @@ class ModelSpec:
     def null_risk(self) -> float:
         """Risk of the zero predictor: sigma^2 + rho^2 * int r dG."""
         return self.sigma2 + self.rho2 * self.G.mean()
-
-
-def empirical_spectrum(covariance: np.ndarray) -> SpectralMeasure:
-    """Eigenvalue law of a symmetric positive definite matrix, weight 1/p each."""
-    cov = np.asarray(covariance, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    if not np.allclose(cov, cov.T, atol=1e-10, rtol=0.0):
-        raise ValueError("covariance must be symmetric")
-    eigvals = np.linalg.eigvalsh(cov)
-    if eigvals.min() <= 0:
-        raise SingularCovarianceError(
-            f"covariance has eigenvalue {eigvals.min():.3e} <= 0"
-        )
-    p = eigvals.size
-    return SpectralMeasure(values=eigvals, weights=np.full(p, 1.0 / p))
 
 
 def signal_measure(

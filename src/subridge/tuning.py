@@ -1,11 +1,7 @@
-"""GCV-driven tuning: subsample-size selection, a ridge baseline, and the
-penalty extrapolation estimator.
+"""GCV-driven tuning: subsample-size selection and a ridge baseline.
 
 Subsample tuning fits an M-member ensemble at every size in a coarse grid
-and picks the GCV minimizer; because implicit regularization from
-subsampling trades off against the explicit penalty along a linear contour,
-the selected size also recovers an equivalent ridge penalty by linear
-extrapolation between the sizes tuned with and without a penalty.
+and picks the GCV minimizer.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ __all__ = [
     "TuneResult",
     "subsample_grid",
     "tune_k",
-    "lambda_hat",
     "tune_lambda",
 ]
 
@@ -120,16 +115,6 @@ def tune_k(
         fit_seconds=seconds,
         solve_counts={key: sum(c[key] for c in counts) for key in counts[0]},
     )
-
-
-def lambda_hat(k_hat_0: int, k_hat_lambda: int, lam: float, n: int) -> float:
-    """Equivalent full-data penalty by extrapolating the line through the
-    tuned sizes at penalty 0 and at penalty lam."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if k_hat_lambda <= k_hat_0:
-        raise ValueError("extrapolation undefined: k_hat_lambda <= k_hat_0")
-    return lam * (n - k_hat_0) / (k_hat_lambda - k_hat_0)
 
 
 def tune_lambda(

@@ -11,8 +11,6 @@ from subridge import (
     SpectralMeasure,
     isotropic_model,
     solve_v,
-    tilde_c,
-    tilde_v,
 )
 import subridge.fixed_point
 from subridge.fixed_point import (
@@ -94,26 +92,6 @@ def test_v_decreasing_in_penalty_and_aspect(H, lam, theta):
     v = solve_v(lam, theta, H).v
     assert solve_v(lam * 1.5, theta, H).v < v
     assert solve_v(lam, theta * 1.5, H).v < v
-
-
-def test_tilde_v_closed_form():
-    # Isotropic, lam=0, theta=2 (v=1, Ahat=1/4): vtilde(0; 0.5, 2) = 1/7.
-    assert tilde_v(0.0, 0.5, 2.0, ISO.H) == pytest.approx(1.0 / 7.0, abs=1e-12)
-    assert tilde_v(0.0, 2.0, 2.0, ISO.H) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tilde_c_closed_form():
-    # Isotropic: ctilde = 1 / (1 + v)^2 = 1/4 at v = 1.
-    sol = solve_v(0.0, 2.0, ISO.H)
-    assert tilde_c(0.0, 2.0, ISO.G, sol=sol) == pytest.approx(0.25, abs=1e-12)
-    # Divergent fixed point kills the bias term entirely.
-    sol0 = solve_v(0.0, 0.5, ISO.H)
-    assert tilde_c(0.0, 0.5, ISO.G, sol=sol0) == 0.0
-
-
-def test_tilde_v_requires_vartheta_below_theta():
-    with pytest.raises(ValueError):
-        tilde_v(0.5, 3.0, 2.0, ISO.H)
 
 
 tiny_penalties = st.floats(-12.0, 1.0).map(lambda e: 10.0 ** e)

@@ -17,6 +17,24 @@ def test_every_exported_name_resolves():
         assert hasattr(subridge, name), name
 
 
+def test_exported_names():
+    # Adding or removing an export is a deliberate change to this list.
+    assert sorted(subridge.__all__) == [
+        "ContourPoint", "Dataset", "DivergentVarianceError", "EnsembleFit",
+        "ExcludedBoundaryError", "FixedPointSolution", "GcvReport",
+        "ModelSpec", "NullSignalError", "RiskDecomposition", "SimConfig",
+        "SimResult", "SpectralMeasure", "TuneResult", "UndefinedOobError",
+        "__version__", "ar1_covariance", "ar1_model", "asymptotic_risk",
+        "conditional_risk", "contour_lambda_for_phis", "ensemble_fit",
+        "equivalence_path", "gcv", "gcv_denominator_limit", "gcv_limit",
+        "gcv_limit_finite_M", "generate_ar1", "inconsistency_gap",
+        "isotropic_model", "oob_error", "optimal_lambda", "optimal_subsample",
+        "predict", "risk_surface", "run_experiment", "sample_subsets",
+        "signal_measure", "solve_v", "subsample_grid", "surface_nan_reasons",
+        "training_error", "training_error_limit", "tune_k", "tune_lambda",
+    ]
+
+
 def test_member_is_gone():
     assert "Member" not in subridge.__all__
     assert not hasattr(subridge, "Member")

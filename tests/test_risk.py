@@ -34,11 +34,16 @@ ISO = isotropic_model(1.0, 1.0)
 AR1, _, _ = ar1_model(0.5, p_ref=200)
 
 
-def random_tuples(rng, count, lam_zero_prob=0.3):
+def random_tuples(rng, count, lam_zero_prob=0.3, near_diagonal=False):
+    """(lam, phi, phis) tuples with phis/phi in [1, 10], or with
+    phis/phi - 1 in [1e-4, 0.03] when near_diagonal."""
     out = []
     while len(out) < count:
         phi = float(10.0 ** rng.uniform(-1.3, 0.6))
-        phis = float(phi * 10.0 ** rng.uniform(0.0, 1.0))
+        if near_diagonal:
+            phis = phi * (1.0 + float(10.0 ** rng.uniform(-4.0, math.log10(0.03))))
+        else:
+            phis = float(phi * 10.0 ** rng.uniform(0.0, 1.0))
         lam = 0.0 if rng.random() < lam_zero_prob else float(10.0 ** rng.uniform(-2, 0.5))
         if lam == 0.0 and abs(phis - 1.0) < 0.05:
             continue
@@ -59,6 +64,16 @@ class TestClosedForms:
         assert dec.sigma2 == 1.0
         assert dec.bias == pytest.approx(0.5)
         assert dec.variance == pytest.approx(1.0)
+        # Full ensemble at v = 1, Ahat = 1/4, ctilde = 1/4: the cross
+        # component vtilde(0; 0.5, 2) = 1/7 gives variance 1/7 and bias
+        # (1 + 1/7)/4 = 2/7.
+        dec = asymptotic_risk(0.0, 0.5, 2.0, ISO)
+        assert dec.variance == pytest.approx(1.0 / 7.0, abs=1e-12)
+        assert dec.bias == pytest.approx(2.0 / 7.0, abs=1e-12)
+        # Interpolating members (v = inf) have ctilde = 0: no bias at all.
+        dec = asymptotic_risk(0.0, 0.5, 0.5, ISO, M=1)
+        assert dec.bias == 0.0
+        assert dec.variance == pytest.approx(1.0, abs=1e-12)
 
     def test_null_sentinels(self):
         for dec in (
@@ -101,6 +116,17 @@ def test_gcv_limit_equals_full_risk():
         assert gcv_limit(lam, phi, phis, AR1) == pytest.approx(
             asymptotic_risk(lam, phi, phis, AR1).risk, rel=1e-10
         )
+
+
+def test_gcv_limit_equals_full_risk_near_the_diagonal():
+    # With phis within 3% of phi the union error is ~(1 - phi/phis)^2 R_inf,
+    # and the union blend must not lose its digits to cancellation.
+    rng = np.random.default_rng(9)
+    for model in (AR1, ISO):
+        for lam, phi, phis in random_tuples(rng, 25, near_diagonal=True):
+            risk = asymptotic_risk(lam, phi, phis, model).risk
+            assert abs(gcv_limit(lam, phi, phis, model) - risk) <= 1e-11 * risk, (
+                lam, phi, phis)
 
 
 def test_gcv_limit_null_sentinels_give_null_risk():
@@ -210,10 +236,20 @@ class TestOptimizers:
          "phi must be positive and finite"),
         (lambda: contour_lambda_for_phis(math.nan, 3.0, AR1.H),
          "phi must be positive and finite"),
+        (lambda: asymptotic_risk(0.1, 0.5, math.nan, AR1),
+         "phis must be at least phi"),
+        (lambda: gcv_limit_finite_M(0.1, 0.5, math.nan, AR1, M=3),
+         "phis must be at least phi"),
+        (lambda: training_error_limit(0.1, 0.5, math.nan, AR1, M=3),
+         "phis must be at least phi"),
+        (lambda: optimal_lambda(0.5, math.nan, AR1), "phis must be at least phi"),
+        (lambda: asymptotic_risk(0.1, 0.5, 2.0, AR1, M=math.nan),
+         "M must be at least 1"),
     ], ids=["subsample-negative-phi", "subsample-nan-phi", "lambda-negative-phi",
             "lambda-phis-below-phi", "subsample-negative-lam", "path-negative-phi",
             "contour-negative-phi", "path-phis-below-phi", "contour-inf-phi",
-            "contour-nan-phi"])
+            "contour-nan-phi", "risk-nan-phis", "finite-M-gcv-nan-phis",
+            "training-error-nan-phis", "lambda-nan-phis", "risk-nan-M"])
     def test_reject_aspects_outside_the_domain(self, evaluate, message):
         with pytest.raises(ValueError, match=message):
             evaluate()

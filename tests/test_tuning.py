@@ -11,9 +11,7 @@ from subridge import (
     ar1_model,
     ensemble_fit,
     gcv,
-    gcv_limit,
     generate_ar1,
-    lambda_hat,
     optimal_lambda,
     subsample_grid,
     tune_k,
@@ -43,50 +41,20 @@ class TestSubsampleGrid:
             subsample_grid(100, 1.5)
 
 
-class TestLambdaHat:
-    def test_endpoint_case(self):
-        assert lambda_hat(0, 1000, 0.5, 1000) == pytest.approx(0.5)
-
-    def test_arithmetic_example(self):
-        assert lambda_hat(200, 600, 0.5, 1000) == pytest.approx(1.0)
-
-    def test_undefined_extrapolation(self):
-        with pytest.raises(ValueError):
-            lambda_hat(600, 600, 0.5, 1000)
-
-    def test_theory_level_geometry(self):
-        # With the data-driven sizes replaced by argmins of the GCV limit,
-        # the penalized optimum uses a larger subsample than the ridgeless
-        # one, and extrapolating the tuning contour linearly in the aspect
-        # ratio recovers the optimal full-data penalty. The k-space
-        # extrapolation of lambda_hat is a heuristic: the contour is linear
-        # in p/k, not in k, so it systematically overshoots.
-        model, _, _ = ar1_model(0.5, p_ref=300)
-        phi, n = 0.1, 10_000
-        p = int(phi * n)
-        lam_star, _ = optimal_lambda(phi, phi, model)
-        lam_probe = 0.3 * lam_star
-
-        def k_argmin(lam):
-            grid = [k for k in subsample_grid(n, 0.5) if k > 0]
-            vals = []
-            for k in grid:
-                phis = p / k
-                if lam == 0.0 and abs(phis - 1.0) < 1e-9:
-                    continue
-                vals.append((gcv_limit(lam, phi, phis, model), k))
-            return min(vals)[1]
-
-        k0 = k_argmin(0.0)
-        k_lam = k_argmin(lam_probe)
-        assert k_lam > k0
-        estimate = lambda_hat(k0, k_lam, lam_probe, n)
-        assert estimate > lam_star
-        # Aspect-space extrapolation through the continuous argmins is exact.
-        phis0, _ = optimal_subsample(0.0, phi, model)
-        phis_lam, _ = optimal_subsample(lam_probe, phi, model)
-        aspect_estimate = lam_probe * (phis0 - phi) / (phis0 - phis_lam)
-        assert abs(aspect_estimate - lam_star) <= 1e-3 * lam_star
+def test_aspect_contour_through_the_optima_recovers_the_optimal_penalty():
+    # The equal-risk contours are straight lines in (lam, phis), so the line
+    # through the optimal ridgeless aspect and the optimal aspect at a probe
+    # penalty meets phis = phi at the optimal full-data penalty. The
+    # penalized optimum uses a larger subsample than the ridgeless one.
+    model, _, _ = ar1_model(0.5, p_ref=300)
+    phi = 0.1
+    lam_star, _ = optimal_lambda(phi, phi, model)
+    lam_probe = 0.3 * lam_star
+    phis0, _ = optimal_subsample(0.0, phi, model)
+    phis_lam, _ = optimal_subsample(lam_probe, phi, model)
+    assert phis_lam < phis0
+    aspect_estimate = lam_probe * (phis0 - phi) / (phis0 - phis_lam)
+    assert abs(aspect_estimate - lam_star) <= 1e-3 * lam_star
 
 
 class TestTuneK:
