@@ -10,8 +10,10 @@ The module exposes the bias/variance decomposition of the M-member ensemble
 risk, the deterministic limits of the ensemble training error and of the
 generalized cross-validation (GCV) statistic, the penalty/subsample
 equivalence contour, and one-dimensional optimizers over the penalty and the
-subsample aspect ratio. The risk surface, the optimizers and the equivalence
-segment evaluate the risk through one block evaluator, `_risk_cells`.
+subsample aspect ratio. The scalar limits share one prologue, under which
+every limit of the null predictor (lam = inf or phis = inf) is its risk, and
+one GCV formula serves every M, inf included. The risk surface, the
+optimizers and the equivalence segment share one evaluator, `_risk_cells`.
 """
 
 from __future__ import annotations
@@ -97,14 +99,25 @@ def _validate_aspects(lam: float, phi: float, phis: float) -> None:
 
 @dataclass(frozen=True)
 class _Solved:
-    """One solved (lam, phis) pair: the fixed point (v, ell, Ahat) and the
-    bias constant c~. Every limit at that pair derives from this record."""
+    """One solved (lam, phis) cell: its fixed point and bias constant c~."""
 
     sol: FixedPointSolution
     c_tilde: float
 
 
-def _solve(lam: float, phis: float, model: ModelSpec) -> _Solved:
+def _is_ensemble_size(M: float) -> bool:
+    return M >= 1 and (M == math.inf or M == int(M))
+
+
+def _solve_cell(lam, phi, phis, model: ModelSpec, M) -> _Solved | None:
+    """The prologue of every scalar limit: check (lam, phi, phis) and M, then
+    solve the cell once. None stands for the null predictor (lam = inf or
+    phis = inf), which fits nothing: every limit of it is its risk."""
+    _validate_aspects(lam, phi, phis)
+    if not _is_ensemble_size(M):
+        raise ValueError("M must be a positive integer or inf")
+    if math.isinf(phis) or math.isinf(lam):
+        return None
     sol = solve_v(lam, phis, model.H)
     return _Solved(sol, float(_tilde_c_values(np.array([sol.v]), model.G)[0]))
 
@@ -144,19 +157,17 @@ def asymptotic_risk(
 ) -> RiskDecomposition:
     """Limiting out-of-sample risk of the M-member subsample ridge ensemble.
 
-    ``phis = inf`` (subsample size negligible next to p) and ``lam = inf``
-    both collapse to the null predictor, whose risk is
-    ``sigma2 + rho2 * int r dG``.
+    M is a positive integer or inf. ``phis = inf`` (subsample size
+    negligible next to p) and ``lam = inf`` both collapse to the null
+    predictor, whose risk is ``sigma2 + rho2 * int r dG``.
     """
-    _validate_aspects(lam, phi, phis)
-    if not M >= 1:
-        raise ValueError("M must be at least 1")
-    if math.isinf(phis) or math.isinf(lam):
+    point = _solve_cell(lam, phi, phis, model, M)
+    if point is None:
         return RiskDecomposition(
             lam, phi, phis, M,
             sigma2=model.sigma2, bias=model.rho2 * model.G.mean(), variance=0.0,
         )
-    return _decomposition(_solve(lam, phis, model), phi, M, model)
+    return _decomposition(point, phi, M, model)
 
 
 def _risk_cells(
@@ -167,13 +178,14 @@ def _risk_cells(
 
     The risk is NaN exactly where :func:`asymptotic_risk` raises
     ValueError: phis below phi, the excluded ridgeless point at aspect 1,
-    or a divergent-variance regime; v is NaN in the cells it did not solve.
+    a divergent variance, or any M but a positive integer or inf; v is NaN
+    in the cells it did not solve.
     The fixed point is solved in blocks of at most BLOCK_CELLS cells, with
     Newton started from x0 where it is given (a point below each root, see
     fixed_point._newton)."""
     risk = np.full(lam.shape, np.nan)
     roots = np.full(lam.shape, np.nan)
-    if not (phi > 0 and M >= 1):
+    if not (phi > 0 and _is_ensemble_size(M)):
         return risk, roots
     valid = (phis >= phi) & (lam >= 0.0)
     null = valid & (np.isinf(phis) | np.isinf(lam))
@@ -192,30 +204,27 @@ def _risk_cells(
     return risk, roots
 
 
-def _denominator(ell: float, phi: float, phis: float) -> float:
-    return ((phis - phi) / phis + (phi / phis) * ell) ** 2
+def _left_out(x: float, M: float) -> float:
+    """Share (1 - x)^M of the data that no member of an M-member ensemble
+    trains on, with x = phi/phis: exactly 0 at M = inf."""
+    return 0.0 if math.isinf(M) else (1.0 - x) ** M
+
+
+def _gcv_denominator(ell: float, x: float, M: float) -> float:
+    """Squared denominator of the M-member GCV limit, u = x over the cover."""
+    u = x / (1.0 - _left_out(x, M))
+    return (1.0 - u * (1.0 - ell)) ** 2
 
 
 def gcv_denominator_limit(
     lam: float, phi: float, phis: float, H: SpectralMeasure
 ) -> float:
-    """Limit of the squared GCV denominator for the full ensemble."""
+    """Limit of the squared GCV denominator for the full ensemble; 1.0 for
+    the null predictor (lam = inf or phis = inf)."""
     _validate_aspects(lam, phi, phis)
-    return _denominator(solve_v(lam, phis, H).ell, phi, phis)
-
-
-def _two_member_train_weights(ell: float, x: float) -> tuple[float, float]:
-    """Coefficients (on R_1 and R_inf) of the limiting two-member training
-    error, as functions of ell and the subsample fraction x = phi/phis."""
-    d = 2.0 - x
-    on_r1 = 0.5 * ((1.0 - x) + ell * ell) / d
-    on_rinf = 0.5 * (2.0 * ell * (1.0 - x) + ell * ell * x) / d
-    return on_r1, on_rinf
-
-
-def _check_ensemble_size(M: float) -> None:
-    if not (M >= 1 and (M == math.inf or M == int(M))):
-        raise ValueError("M must be a positive integer or inf")
+    if math.isinf(phis) or math.isinf(lam):
+        return 1.0
+    return _gcv_denominator(solve_v(lam, phis, H).ell, phi / phis, math.inf)
 
 
 def _training_error(point: _Solved, phi: float, M: float, model: ModelSpec) -> float:
@@ -236,13 +245,15 @@ def _training_error(point: _Solved, phi: float, M: float, model: ModelSpec) -> f
         return t1
     x = phi / point.sol.theta
     rinf = _decomposition(point, phi, math.inf, model).risk
-    on_r1, on_rinf = _two_member_train_weights(ell, x)
+    d = 2.0 - x
+    on_r1 = 0.5 * ((1.0 - x) + ell * ell) / d  # the two-member weights
+    on_rinf = 0.5 * (2.0 * ell * (1.0 - x) + ell * ell * x) / d
     t2 = on_r1 * r1 + on_rinf * rinf
     if M == 2:
         return t2
     r2 = _decomposition(point, phi, 2, model).risk
     q = 1.0 - x
-    q_M = q ** M  # 0 at M = inf
+    q_M = _left_out(x, M)
     cover = 1.0 - q_M
     e1, e2 = (((1.0 - q ** j) * t + (q ** j - q_M) * r) / cover
               for j, t, r in ((1, t1, r1), (2, t2, r2)))
@@ -260,23 +271,16 @@ def training_error_limit(
     residuals of distinct members are correlated through subsample overlap,
     which couples every M >= 2 to both R_1 and R_inf.
     """
-    _validate_aspects(lam, phi, phis)
-    _check_ensemble_size(M)
-    if math.isinf(phis) or math.isinf(lam):
-        # Null predictor: training and test errors coincide.
+    point = _solve_cell(lam, phi, phis, model, M)
+    if point is None:
         return model.null_risk
-    return _training_error(_solve(lam, phis, model), phi, M, model)
+    return _training_error(point, phi, M, model)
 
 
 def gcv_limit(lam: float, phi: float, phis: float, model: ModelSpec) -> float:
-    """Limit of the full-ensemble GCV statistic (training error over squared
-    denominator). Coincides with the full-ensemble risk."""
-    _validate_aspects(lam, phi, phis)
-    if math.isinf(phis) or math.isinf(lam):
-        return model.null_risk  # null predictor: its GCV limit is its risk
-    point = _solve(lam, phis, model)
-    num = _training_error(point, phi, math.inf, model)
-    return num / _denominator(point.sol.ell, phi, phis)
+    """Limit of the full-ensemble GCV statistic, :func:`gcv_limit_finite_M`
+    at M = inf. Coincides with the full-ensemble risk."""
+    return gcv_limit_finite_M(lam, phi, phis, model, math.inf)
 
 
 def gcv_limit_finite_M(
@@ -284,22 +288,17 @@ def gcv_limit_finite_M(
 ) -> float:
     """Limit of the GCV statistic computed from an M-member ensemble.
 
-    For finite M the union of subsamples covers only part of the data; the
-    numerator is the union training error of :func:`training_error_limit`.
-    The limit equals the M-member risk when phis = phi, and converges to
-    the full-ensemble risk as M grows, but is inflated at intermediate M
-    with subsampling.
+    One formula serves every M, inf included: the union training error of
+    :func:`training_error_limit` over (1 - u (1 - ell))^2, with u = phi/phis
+    over the union's cover 1 - (1 - phi/phis)^M, which is 1 at M = inf. The
+    limit equals the M-member risk when phis = phi (also at lam = 0, where
+    both terms vanish), and converges to the full-ensemble risk as M grows,
+    but is inflated at intermediate M with subsampling.
     """
-    _validate_aspects(lam, phi, phis)
-    _check_ensemble_size(M)
-    if math.isinf(M):
-        return gcv_limit(lam, phi, phis, model)
-    if math.isinf(phis) or math.isinf(lam):
+    point = _solve_cell(lam, phi, phis, model, M)
+    if point is None:
         return model.null_risk
-    point = _solve(lam, phis, model)
-    x = phi / phis
-    u = x / (1.0 - (1.0 - x) ** M)  # x over the union's limiting cover
-    denominator = (1.0 - u * (1.0 - point.sol.ell)) ** 2
+    denominator = _gcv_denominator(point.sol.ell, phi / phis, M)
     if denominator == 0.0:
         # Only possible when ell = 0 and the union is a single subsample
         # (M = 1 or phis = phi); the ell^2 factor then cancels exactly
@@ -346,8 +345,9 @@ def equivalence_path(
     each point. The risk column is constant up to solver tolerance."""
     lam_bar = contour_lambda_for_phis(phi, phis_bar, model.H)
     t = np.linspace(0.0, 1.0, num)
-    lam = (1.0 - t) * lam_bar
-    phis = phi + t * (phis_bar - phi)
+    # Exact ends: at phis_bar = inf no end multiplies inf by 0.
+    lam = np.multiply(1.0 - t, lam_bar, out=np.zeros(num), where=t < 1.0)
+    phis = phi + np.multiply(t, phis_bar - phi, out=np.zeros(num), where=t > 0.0)
     risk, _ = _risk_cells(phi, lam, phis, model)
     return [ContourPoint(*map(float, cell)) for cell in zip(t, lam, phis, risk)]
 

@@ -100,6 +100,15 @@ def test_gcv_denominator_square_aspect_is_ell_squared():
     assert gcv_denominator_limit(0.7, 1.5, 1.5, AR1.H) == pytest.approx(ell**2)
 
 
+@pytest.mark.parametrize("lam, phis", [(0.1, math.inf), (0.0, math.inf),
+                                       (0.1, 1e300), (math.inf, 2.0)])
+def test_gcv_denominator_of_the_null_predictor_is_one(lam, phis):
+    # A predictor that fits nothing leaves the GCV denominator at 1; at
+    # phis = 1e300 the members are solved and are the null predictor to
+    # rounding.
+    assert gcv_denominator_limit(lam, 0.5, phis, AR1.H) == 1.0
+
+
 def test_training_error_dual_route():
     # The full-ensemble training error equals denominator * full risk.
     rng = np.random.default_rng(2)
@@ -127,6 +136,33 @@ def test_gcv_limit_equals_full_risk_near_the_diagonal():
             risk = asymptotic_risk(lam, phi, phis, model).risk
             assert abs(gcv_limit(lam, phi, phis, model) - risk) <= 1e-11 * risk, (
                 lam, phi, phis)
+
+
+@pytest.mark.parametrize("model", [ISO, AR1], ids=["isotropic", "ar1"])
+@pytest.mark.parametrize("phi", [2.0, 5.0])
+def test_gcv_limit_is_the_risk_at_ridgeless_full_data(model, phi):
+    # At lam = 0 and phis = phi > 1 every member is the full-data ridgeless
+    # fit: ell = 0, so numerator and denominator both vanish.
+    risk = asymptotic_risk(0.0, phi, phi, model).risk
+    assert gcv_limit(0.0, phi, phi, model) == pytest.approx(risk, rel=1e-12)
+    assert gcv_limit_finite_M(0.0, phi, phi, model, M=math.inf) == pytest.approx(
+        risk, rel=1e-12)
+
+
+def test_gcv_limit_is_the_finite_M_formula_at_M_inf():
+    rng = np.random.default_rng(10)
+    for model in (AR1, ISO):
+        tuples = random_tuples(rng, 25) + [(0.0, 2.0, 2.0), (0.1, 0.5, 1e17)]
+        for lam, phi, phis in tuples:
+            assert gcv_limit(lam, phi, phis, model) == gcv_limit_finite_M(
+                lam, phi, phis, model, M=math.inf), (lam, phi, phis)
+
+
+def test_full_ensemble_limits_where_the_left_out_share_rounds_to_one():
+    # At phis = 1e17, 1 - phi/phis rounds to 1, yet no data is left out of
+    # an infinite union; the members are near the null predictor.
+    for limit in (gcv_limit, lambda *cell: training_error_limit(*cell, M=math.inf)):
+        assert limit(0.1, 0.5, 1e17, ISO) == pytest.approx(ISO.null_risk, rel=1e-12)
 
 
 def test_gcv_limit_null_sentinels_give_null_risk():
@@ -189,6 +225,12 @@ class TestContour:
         r_b = asymptotic_risk(0.0, 0.2, 0.8, AR1).risk
         assert r_a == pytest.approx(r_b, rel=1e-12)
 
+    def test_path_to_the_null_predictor(self):
+        pts = equivalence_path(0.5, math.inf, ISO, num=3)
+        assert [(p.lam, p.phis) for p in pts] == [
+            (math.inf, 0.5), (math.inf, math.inf), (0.0, math.inf)]
+        assert [p.risk for p in pts] == [ISO.null_risk] * 3
+
 
 class TestOptimizers:
     def test_optimal_lambda_matches_dense_scan(self):
@@ -244,7 +286,7 @@ class TestOptimizers:
          "phis must be at least phi"),
         (lambda: optimal_lambda(0.5, math.nan, AR1), "phis must be at least phi"),
         (lambda: asymptotic_risk(0.1, 0.5, 2.0, AR1, M=math.nan),
-         "M must be at least 1"),
+         "M must be a positive integer or inf"),
     ], ids=["subsample-negative-phi", "subsample-nan-phi", "lambda-negative-phi",
             "lambda-phis-below-phi", "subsample-negative-lam", "path-negative-phi",
             "contour-negative-phi", "path-phis-below-phi", "contour-inf-phi",
@@ -310,6 +352,7 @@ def test_risk_surface_rejects_every_cell_outside_the_domain():
     grid = np.array([0.5, 1.0])
     assert np.isnan(risk_surface(0.0, grid, grid, AR1)).all()
     assert np.isnan(risk_surface(0.5, grid, grid, AR1, M=0.5)).all()
+    assert np.isnan(risk_surface(0.5, grid, grid, AR1, M=2.5)).all()
     assert np.isnan(risk_surface(0.5, -grid, grid, AR1)).all()
 
 
@@ -408,7 +451,7 @@ def test_training_error_approaches_full_limit_as_one_over_M():
 
 @pytest.mark.parametrize("M", [2.5, 0, -math.inf, math.nan])
 def test_ensemble_size_must_be_a_positive_integer_or_inf(M):
-    for limit in (training_error_limit, gcv_limit_finite_M):
+    for limit in (training_error_limit, gcv_limit_finite_M, asymptotic_risk):
         with pytest.raises(ValueError, match="M must be a positive integer or inf"):
             limit(0.1, 0.2, 1.7, AR1, M)
 
