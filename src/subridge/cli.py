@@ -265,7 +265,9 @@ def cmd_sim(args) -> int:
                    "score_s": round(t["score_s"], 3)}
                   for t in result.replicate_seconds
               ],
-              solve_counts=result.solve_counts)
+              solve_counts=result.solve_counts,
+              solve_seconds={key: round(s, 3)
+                             for key, s in result.solve_seconds.items()})
     return 0
 
 
@@ -415,6 +417,8 @@ def cmd_tune(args) -> int:
                   for (k, _), seconds in zip(result.path, result.fit_seconds)
               ],
               solve_counts=result.solve_counts,
+              solve_seconds={key: round(s, 3)
+                             for key, s in result.solve_seconds.items()},
               baseline_solve_counts=baseline_counts)
     print(f"k_hat = {result.k_hat}, holdout MSE = {holdout_mse:.6g}"
           + (f", baseline MSE = {baseline_mse:.6g}" if baseline_mse is not None

@@ -9,6 +9,7 @@ the GCV estimate built from the mean member smoothing-matrix trace.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,6 +124,7 @@ class GcvReport:
 MIN_PIVOT_RATIO = 1e-3
 
 _SOLVE_COUNTS = {"cholesky": 0, "certified": 0, "spectral": 0, "rank_deficient": 0}
+_SOLVE_SECONDS = {"cholesky": 0.0, "certified": 0.0, "spectral": 0.0}
 
 
 def solve_counts() -> dict[str, int]:
@@ -133,6 +135,16 @@ def solve_counts() -> dict[str, int]:
     kept fewer eigenvalues than the gram has rows (rank-deficient). A caller
     reads its own work as the change between two calls."""
     return dict(_SOLVE_COUNTS)
+
+
+def solve_seconds() -> dict[str, float]:
+    """Seconds that `_RidgeSolver.solve` spent so far in this process, by
+    the path that answered each member, from its shifted gram to its
+    returned coefficients. A fallback member counts to `spectral` in
+    full, its failed factorization or certificate included; a penalty path
+    solved through `spectral` directly is not timed. A caller reads its own
+    time as the change between two calls."""
+    return dict(_SOLVE_SECONDS)
 
 
 def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -155,17 +167,24 @@ def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """L^-1 by the blocked forward substitution of `_cholesky_solve`, run on
-    the identity. Block row i of L^-1 is zero right of its diagonal block,
-    so each step solves only the columns left of that edge."""
-    m, block = L.shape[0], 64
-    W = np.zeros_like(L)
-    for i in range(0, m, block):
-        j = min(i + block, m)
-        rhs = -(L[i:j, :i] @ W[:i, :j])
-        rhs[:, i:] += np.eye(j - i)
-        W[i:j, :j] = np.linalg.solve(L[i:j, i:j], rhs)
+def _lower_inverse(L: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
+    """L^-1 of a lower-triangular L by recursive halving,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], written into W
+    (a new zero array when None) and returned. Diagonal blocks of at most
+    32 rows are inverted directly; above them, the work is two matrix
+    products per split, which BLAS runs far faster than substitution. The
+    strict upper triangle of the result is exactly 0."""
+    m = L.shape[0]
+    if W is None:
+        W = np.zeros_like(L)
+    if m <= 32:
+        W[...] = np.tril(np.linalg.inv(L))
+        return W
+    h = m // 2
+    _lower_inverse(L[:h, :h], W[:h, :h])
+    _lower_inverse(L[h:, h:], W[h:, h:])
+    np.matmul(W[h:, h:], L[h:, :h] @ W[:h, :h], out=W[h:, :h])
+    W[h:, :h] *= -1.0
     return W
 
 
@@ -231,11 +250,24 @@ class _RidgeSolver:
           lambda_min(A) <= min L_ii^2.
         - Any other member goes to `spectral` when its pivot ratio is below
           MIN_PIVOT_RATIO, and is solved from L otherwise.
+
+        Its seconds are added to `solve_seconds` under the path taken.
         """
+        started = time.perf_counter()
+        path, coef, df = self._route(lam)
+        _SOLVE_SECONDS[path] += time.perf_counter() - started
+        return coef, df
+
+    def _route(self, lam: float):
+        """(path, coef, df) of `solve`."""
         k, p = self.k, self.p
         m = self.gram.shape[0]
         shift = k * lam
-        A = self.gram + shift * np.eye(m) if lam else self.gram
+        if lam:
+            A = self.gram.copy()
+            A.flat[::m + 1] += shift
+        else:
+            A = self.gram
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
@@ -250,22 +282,23 @@ class _RidgeSolver:
             if not 1.0 / np.vdot(W, W) > cutoff:
                 return self._fallback(lam)
             _SOLVE_COUNTS["certified"] += 1
-            return self._coef(W.T @ (W @ self.rhs)), float(m)
+            return "certified", self._coef(W.T @ (W @ self.rhs)), float(m)
         if not pivots.min() >= MIN_PIVOT_RATIO * pivots.max():
             return self._fallback(lam)
         _SOLVE_COUNTS["cholesky"] += 1
         if lam == 0.0:
-            return self._coef(_cholesky_solve(L, self.rhs)), float(m)
+            return "cholesky", self._coef(_cholesky_solve(L, self.rhs)), float(m)
         W = _lower_inverse(L)
-        return self._coef(W.T @ (W @ self.rhs)), float(m - shift * np.vdot(W, W))
+        df = float(m - shift * np.vdot(W, W))
+        return "cholesky", self._coef(W.T @ (W @ self.rhs)), df
 
     def _fallback(self, lam: float):
-        """`spectral` for a member `solve` could not answer, counted when
-        its min-norm solution is rank-deficient."""
+        """(path, coef, df) by `spectral` for a member `solve` could not
+        answer, counted when its min-norm solution is rank-deficient."""
         coef, df = self.spectral(lam)
         if lam == 0.0 and df < self.gram.shape[0]:
             _SOLVE_COUNTS["rank_deficient"] += 1
-        return coef, df
+        return "spectral", coef, df
 
     def spectral(self, lam: float):
         """(coef, df) at one penalty from the kept eigendecomposition,

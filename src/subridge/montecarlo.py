@@ -95,8 +95,8 @@ class SimResult:
     """Tidy per-(rep, cell) rows plus across-rep aggregates, and how the
     replicates ran: the worker processes, the BLAS threads of each, each
     replicate's fit and score seconds as timed in its worker, and the
-    members solved by each path summed over replicates
-    (`ensemble.solve_counts`)."""
+    members solved by each path and the seconds of those solves, summed
+    over replicates (`ensemble.solve_counts`, `ensemble.solve_seconds`)."""
 
     config: SimConfig
     rows: list[dict] = field(default_factory=list)
@@ -104,6 +104,7 @@ class SimResult:
     blas_threads_per_worker: int = 1
     replicate_seconds: list[dict] = field(default_factory=list)
     solve_counts: dict[str, int] = field(default_factory=dict)
+    solve_seconds: dict[str, float] = field(default_factory=dict)
 
     def aggregate(self) -> list[dict]:
         cells: dict[tuple, list[dict]] = {}
@@ -275,16 +276,18 @@ def _plan(config: SimConfig):
 
 def _run_replicate(config: SimConfig, rep: int):
     """Replicate rep in this process: its rows, the seconds it spent
-    fitting and scoring, and its members solved by each path."""
+    fitting and scoring, its members solved by each path, and the seconds
+    of those solves."""
     cells, theory = _plan(config)
-    before = ens.solve_counts()
+    before, before_s = ens.solve_counts(), ens.solve_seconds()
     started = time.perf_counter()
     rows, coefs = _fit_replicate(config, rep, cells, theory)
     fitted = time.perf_counter()
     _score_replicate(config, rep, rows, coefs)
     scored = time.perf_counter()
     counts = {key: n - before[key] for key, n in ens.solve_counts().items()}
-    return rows, fitted - started, scored - fitted, counts
+    seconds = {key: s - before_s[key] for key, s in ens.solve_seconds().items()}
+    return rows, fitted - started, scored - fitted, counts, seconds
 
 
 def run_experiment(config: SimConfig) -> SimResult:
@@ -313,12 +316,15 @@ def run_experiment(config: SimConfig) -> SimResult:
     )
     result = SimResult(config=config, workers=workers,
                        blas_threads_per_worker=BLAS_THREADS,
-                       solve_counts=dict.fromkeys(ens.solve_counts(), 0))
-    for rep, (rows, fit_s, score_s, counts) in enumerate(replicates):
+                       solve_counts=dict.fromkeys(ens.solve_counts(), 0),
+                       solve_seconds=dict.fromkeys(ens.solve_seconds(), 0.0))
+    for rep, (rows, fit_s, score_s, counts, seconds) in enumerate(replicates):
         result.rows.extend(rows)
         result.replicate_seconds.append(
             {"rep": rep, "fit_s": fit_s, "score_s": score_s}
         )
         for key, n in counts.items():
             result.solve_counts[key] += n
+        for key, s in seconds.items():
+            result.solve_seconds[key] += s
     return result

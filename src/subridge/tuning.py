@@ -28,7 +28,8 @@ class TuneResult:
     """Outcome of GCV subsample tuning, and how the grid was fitted: the
     worker processes, the BLAS threads of each, each grid size's fit
     seconds (in path order) as timed in its worker, and the members solved
-    by each path summed over the grid (`ensemble.solve_counts`)."""
+    by each path and the seconds of those solves, summed over the grid
+    (`ensemble.solve_counts`, `ensemble.solve_seconds`)."""
 
     k_hat: int
     gcv_at_k_hat: float
@@ -44,6 +45,8 @@ class TuneResult:
     fit_seconds: tuple[float, ...] = field(default=(), compare=False, repr=False)
     solve_counts: dict[str, int] = field(default_factory=dict, compare=False,
                                          repr=False)
+    solve_seconds: dict[str, float] = field(default_factory=dict, compare=False,
+                                            repr=False)
 
 
 def subsample_grid(n: int, nu: float = 0.5) -> list[int]:
@@ -63,14 +66,16 @@ def subsample_grid(n: int, nu: float = 0.5) -> list[int]:
 def _tune_cell(data: ens.Dataset, lam: float, M: int, seed: int, k: int):
     """Grid size k in this process: the GCV value of its ensemble, whether
     the GCV denominator degenerated, the averaged coefficients, the seconds
-    the fit and its GCV took, and its members solved by each path."""
-    before = ens.solve_counts()
+    the fit and its GCV took, its members solved by each path, and the
+    seconds of those solves."""
+    before, before_s = ens.solve_counts(), ens.solve_seconds()
     started = time.perf_counter()
     fit = ens.ensemble_fit(data, k, M, lam, seed)
     report = ens.gcv(fit, data)
     seconds = time.perf_counter() - started
     counts = {key: n - before[key] for key, n in ens.solve_counts().items()}
-    return report.value, report.degenerate, fit.coef, seconds, counts
+    solve_s = {key: s - before_s[key] for key, s in ens.solve_seconds().items()}
+    return report.value, report.degenerate, fit.coef, seconds, counts, solve_s
 
 
 def tune_k(
@@ -103,7 +108,7 @@ def tune_k(
 
     workers = worker_count(len(sizes))
     cells = map_in_workers(partial(_tune_cell, data, lam, M, seed), sizes, workers)
-    values, degenerate, coefs, seconds, counts = zip(*cells)
+    values, degenerate, coefs, seconds, counts, solve_s = zip(*cells)
     path = tuple(zip(sizes, values))
     # min() compares (gcv, k), so ties go to the smallest k.
     gcv_hat, k_hat = min((value, k) for k, value in path)
@@ -114,6 +119,7 @@ def tune_k(
         workers=workers, blas_threads_per_worker=BLAS_THREADS,
         fit_seconds=seconds,
         solve_counts={key: sum(c[key] for c in counts) for key in counts[0]},
+        solve_seconds={key: sum(s[key] for s in solve_s) for key in solve_s[0]},
     )
 
 

@@ -339,6 +339,9 @@ class TestSim:
             assert manifest["solve_counts"] == {
                 "cholesky": 24, "certified": 0, "spectral": 0,
                 "rank_deficient": 0}
+            seconds = manifest["solve_seconds"]
+            assert seconds["cholesky"] >= 0
+            assert seconds["certified"] == seconds["spectral"] == 0
             outputs.append([(out / name).read_bytes()
                             for name in ("sim_tidy.csv", "sim_aggregate.csv")])
         assert outputs[0] == outputs[1] == outputs[2]
@@ -480,6 +483,8 @@ class TestTune:
             counts = manifest["solve_counts"]
             assert counts["cholesky"] + counts["certified"] + counts["spectral"] \
                 == 3 * sum(1 for k, _ in result["path"] if k > 0)
+            assert manifest["solve_seconds"].keys() == {
+                "cholesky", "certified", "spectral"}
 
     def test_fits_each_ensemble_once(self, tmp_path, monkeypatch):
         # The holdout predictions reuse tune_k's coefficients at k_hat and

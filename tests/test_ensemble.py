@@ -19,7 +19,7 @@ from subridge import (
     tune_k,
     tune_lambda,
 )
-from subridge.ensemble import _RidgeSolver, solve_counts
+from subridge.ensemble import _lower_inverse, _RidgeSolver, solve_counts, solve_seconds
 
 
 def make_data(rng, n, p, beta0=None, sigma=1.0):
@@ -120,18 +120,44 @@ def relative(a, b):
     return np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b)
 
 
+def paths_timed(before):
+    """The solve paths whose `solve_seconds` grew since `before`."""
+    return {key for key, s in solve_seconds().items() if s > before[key]}
+
+
+# `_lower_inverse` inverts blocks of at most 32 rows directly and halves
+# anything larger, so these sizes cover a single leaf (1, 2, 31, 32), the
+# first split (33), two full leaves (64), a second level (65) and three or
+# more levels (100, 257, 400).
+@pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 64, 65, 100, 257, 400])
+def test_lower_inverse_matches_inv(m):
+    # The Cholesky factor of a square gram, as a near-square ridgeless
+    # member forms it. Both inverses are backward stable, so they agree to
+    # about cond(L) * eps relative; m bounds the growth of the rounding.
+    rng = np.random.default_rng(m)
+    X = rng.standard_normal((m, m))
+    L = np.linalg.cholesky(X @ X.T)
+    W = _lower_inverse(L)
+    assert not np.triu(W, 1).any()
+    bound = m * np.linalg.cond(L) * np.finfo(float).eps
+    assert relative(W, np.linalg.inv(L)) <= bound
+
+
 class TestRidgeSolver:
-    # Grams of 70 and 100 rows: the substitution runs over a full and a
-    # partial block.
+    # Grams of 70 and 100 rows: the ridgeless substitution runs over a full
+    # and a partial block of 64 rows, and the ridge `_lower_inverse` splits
+    # twice.
     @pytest.mark.parametrize("k, p", [(70, 200), (300, 100)], ids=["dual", "primal"])
     @pytest.mark.parametrize("lam", [0.0, 0.3], ids=["ridgeless", "ridge"])
     def test_direct_path_matches_spectral_path(self, monkeypatch, k, p, lam):
         rng = np.random.default_rng(7)
         X, y = rng.standard_normal((k, p)), rng.standard_normal(k)
         eigh = count_calls(monkeypatch, "eigh")
+        before = solve_seconds()
         solver = _RidgeSolver(Dataset(X, y))
         coef, df = solver.solve(lam)
         assert eigh == []  # the direct path took it
+        assert paths_timed(before) == {"cholesky"}
         coef_ref, df_ref = solver.spectral(lam)
         assert relative(coef, coef_ref) <= 1e-10
         assert abs(df - df_ref) <= 1e-10 * df_ref
@@ -139,8 +165,9 @@ class TestRidgeSolver:
             assert df == min(k, p)
 
     # Near-square ridgeless members (|k - p| <= 0.1 p) with p = 100: the
-    # gram has 95 to 105 rows, so `_lower_inverse` runs over a full and a
-    # partial block. The complement member holds 102 of 180 rows (2k > n).
+    # gram has 95 to 105 rows, so `_lower_inverse` splits twice, down to
+    # blocks of 23 to 27 rows. The complement member holds 102 of 180 rows
+    # (2k > n).
     @pytest.mark.parametrize("k, n", [(100, None), (95, None), (105, None),
                                       (102, 180)],
                              ids=["square", "dual", "primal", "complement"])
@@ -153,11 +180,12 @@ class TestRidgeSolver:
         X = X_all if rows is None else X_all[rows]
         y = y_all if rows is None else y_all[rows]
         eigh = count_calls(monkeypatch, "eigh")
-        before = solve_counts()
+        before, before_s = solve_counts(), solve_seconds()
         solver = _RidgeSolver(Dataset(X_all, y_all), rows)
         coef, df = solver.solve(0.0)
         assert eigh == []
         assert solve_counts()["certified"] == before["certified"] + 1
+        assert paths_timed(before_s) == {"certified"}
         assert df == min(k, p)
         # The min-norm solution of a full-rank gram A is A^-1 rhs mapped to
         # beta. Both the certified path and pinv compute it to about
@@ -168,7 +196,7 @@ class TestRidgeSolver:
 
     def test_square_duplicated_column_falls_back_to_rank(self, monkeypatch):
         eigh = count_calls(monkeypatch, "eigh")
-        before = solve_counts()
+        before, before_s = solve_counts(), solve_seconds()
         for seed in range(20):
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((60, 59))
@@ -181,6 +209,7 @@ class TestRidgeSolver:
         assert len(eigh) == 20
         assert after["spectral"] == before["spectral"] + 20
         assert after["rank_deficient"] == before["rank_deficient"] + 20
+        assert paths_timed(before_s) == {"spectral"}
 
     def test_certificate_never_passes_a_dropped_eigenvalue(self):
         # Square designs X = Q diag(sqrt e) Q', so the gram is Q diag(e) Q'
@@ -190,36 +219,39 @@ class TestRidgeSolver:
         # tr(A) is no looser than the cutoff's e_max. The certified path
         # must never take a member whose cutoff drops an eigenvalue, its df
         # must equal that of `spectral`, and the two solutions must agree to
-        # the cond(A) * eps bound of the test above.
+        # the cond(A) * eps bound of the test above. The first sweep holds
+        # 5 to 79 rows; the second, 65 to 300 rows, where `_lower_inverse`
+        # splits two to four times.
         eps = np.finfo(float).eps
-        certified = fell_back = dropped = 0
-        for seed in range(300):
-            rng = np.random.default_rng(seed)
-            m = int(rng.integers(5, 80))
-            Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-            if seed % 2:
-                e = np.full(m, 1e-3)
-            else:
-                e = np.exp(rng.uniform(-3.0, 0.0, m))
-            e[-1] = 1.0
-            j = int(rng.integers(1, 4))
-            e[:j] = m * eps * np.exp(rng.uniform(-np.log(10), np.log(10), j))
-            X = (Q * np.sqrt(e)) @ Q.T
-            solver = _RidgeSolver(Dataset(X, rng.standard_normal(m)))
-            before = solve_counts()["certified"]
-            coef, df = solver.solve(0.0)
-            coef_ref, df_ref = solver.spectral(0.0)
-            dropped += df_ref < m
-            if solve_counts()["certified"] > before:
-                certified += 1
-                assert df_ref == m and df == df_ref
-                bound = m * np.linalg.cond(solver.gram) * eps
-                assert relative(coef, coef_ref) <= bound
-            else:
-                fell_back += 1
-        # The sweep straddles the cutoff: some members are certified, some
-        # fall back, and the cutoff drops eigenvalues of some.
-        assert certified and fell_back and dropped
+        for seeds, sizes in ((range(300), (5, 80)), (range(300, 360), (65, 301))):
+            certified = fell_back = dropped = 0
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                m = int(rng.integers(*sizes))
+                Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+                if seed % 2:
+                    e = np.full(m, 1e-3)
+                else:
+                    e = np.exp(rng.uniform(-3.0, 0.0, m))
+                e[-1] = 1.0
+                j = int(rng.integers(1, 4))
+                e[:j] = m * eps * np.exp(rng.uniform(-np.log(10), np.log(10), j))
+                X = (Q * np.sqrt(e)) @ Q.T
+                solver = _RidgeSolver(Dataset(X, rng.standard_normal(m)))
+                before = solve_counts()["certified"]
+                coef, df = solver.solve(0.0)
+                coef_ref, df_ref = solver.spectral(0.0)
+                dropped += df_ref < m
+                if solve_counts()["certified"] > before:
+                    certified += 1
+                    assert df_ref == m and df == df_ref
+                    bound = m * np.linalg.cond(solver.gram) * eps
+                    assert relative(coef, coef_ref) <= bound
+                else:
+                    fell_back += 1
+            # Each sweep straddles the cutoff: some members are certified,
+            # some fall back, and the cutoff drops eigenvalues of some.
+            assert certified and fell_back and dropped, sizes
 
     def test_duplicated_column_drops_to_rank(self, monkeypatch):
         # An exactly collinear column leaves a gram eigenvalue of about

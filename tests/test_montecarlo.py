@@ -214,6 +214,10 @@ class TestRunExperiment:
         result = run_experiment(small_config(lambda_grid=(0.0,)))
         assert result.solve_counts == {
             "cholesky": 6, "certified": 6, "spectral": 0, "rank_deficient": 0}
+        # Each path's seconds are timed in the workers: none went to spectral.
+        seconds = result.solve_seconds
+        assert seconds["cholesky"] > 0 and seconds["certified"] > 0
+        assert seconds["spectral"] == 0.0
         counts = mc._run_replicate(small_config(lambda_grid=(0.0,)), 0)[3]
         assert counts == {
             "cholesky": 3, "certified": 3, "spectral": 0, "rank_deficient": 0}

@@ -17,7 +17,8 @@ from subridge import (
     tune_k,
     tune_lambda,
 )
-from subridge.ensemble import DEGENERATE_DENOMINATOR, _RidgeSolver, solve_counts
+from subridge.ensemble import (DEGENERATE_DENOMINATOR, _RidgeSolver, solve_counts,
+                               solve_seconds)
 
 
 class TestSubsampleGrid:
@@ -102,6 +103,9 @@ class TestTuneK:
         result = tune_k(data, 0.0, [0, 10, 30, 60], M=2, seed=4)
         assert result.solve_counts == {
             "cholesky": 4, "certified": 2, "spectral": 0, "rank_deficient": 0}
+        seconds = result.solve_seconds
+        assert seconds["cholesky"] > 0 and seconds["certified"] > 0
+        assert seconds["spectral"] == 0.0
 
     def test_keeps_the_fit_at_k_hat(self):
         # The coefficients at k_hat are those of a refit of the same
@@ -195,13 +199,16 @@ class TestTuneLambda:
         assert value == inline[lam_best] == min(inline.values())
 
     def test_counts_one_eigh_for_the_path(self):
+        # The penalty path is solved through `spectral` directly, which
+        # `solve_seconds` does not time.
         rng = np.random.default_rng(42)
         data = Dataset(rng.standard_normal((50, 8)), rng.standard_normal(50))
-        before = solve_counts()
+        before, before_s = solve_counts(), solve_seconds()
         tune_lambda(data, [0.0, 0.01, 0.1, 1.0])
         after = solve_counts()
         assert {key: n - before[key] for key, n in after.items()} == {
             "cholesky": 0, "certified": 0, "spectral": 1, "rank_deficient": 0}
+        assert solve_seconds() == before_s
 
     def test_returns_the_fit_at_the_selected_penalty(self):
         rng = np.random.default_rng(39)
