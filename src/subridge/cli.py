@@ -204,12 +204,15 @@ def cmd_theory_surface(args) -> int:
             {"t": pt.t, "lambda": pt.lam, "phis": pt.phis, "risk": pt.risk}
             for pt in equivalence_path(args.phi, phis_star, model, 11)
         ]
-    # The Newton core's work for each output file.
+    # The Newton core's work for each output file, and the size of the
+    # Gauss rule of H it read.
     fixed_point = {
         name: {key: end[key] - start[key] for key in end}
         for name, start, end in (("surface", before, after_surface),
                                  ("markers", after_surface, newton_counts()))
     }
+    fixed_point["rule"] = {"atoms": model.H.values.size,
+                           "nodes": model.H._rule[0].size}
 
     nan_cells = surface_nan_reasons(args.phi, lam_grid, phis_grid, surface)
     if any(nan_cells.values()):

@@ -7,7 +7,9 @@ For a penalty ``lam >= 0`` and an aspect ratio ``theta``, v solves
 with the boundary conventions v = +inf at (lam = 0, theta < 1) and v = 0 at
 theta = +inf. The continuously extended product ell = lam * v and the
 rescaled second moment v^2 * int r^2 (1 + v r)^-2 dH stay finite in every
-regime and are what downstream formulas consume.
+regime and are what downstream formulas consume. Every integral against
+H here reads its Gauss rule (``H._rule``, see ``spectra._gauss_rule``),
+which matches the atom sums to rounding with fewer nodes.
 
 One Newton core solves a block of (lam, theta) cells at once, started at
 x = 0 or, per cell, from a point below its root; the scalar :func:`solve_v`
@@ -35,8 +37,9 @@ __all__ = [
 RESIDUAL_TOL = 1e-12
 MAX_ITER = 200
 # Largest number of cells solved together. The core's temporaries hold
-# cells x atoms doubles; unblocked, an 81 x 100 grid on a 500-atom spectrum
-# adds ~144 MB of peak memory, while blocks of 256 cells add none measurable.
+# cells x nodes doubles of H's Gauss rule; unblocked, an 81 x 100 grid on a
+# spectrum that does not compress (500 nodes) adds ~144 MB of peak memory,
+# while blocks of 256 cells add none measurable.
 BLOCK_CELLS = 256
 # One-cell results solve_v keeps per measure; the oldest is dropped first.
 SOLVE_MEMO_SIZE = 1024
@@ -95,12 +98,13 @@ def _newton(
     lam > 0 or theta > 1.
 
     With q = 1/(1+xr), F(x) = x s - 1 with s = lam + theta int r q dH, and
-    F'(x) = lam + theta int r q^2 dH, so one (cells x atoms) buffer serves
-    both integrals. The step at which a cell stops evaluates s at its final
-    x, which is the right-hand side of 1/v = s that the RESIDUAL_TOL check
-    compares with 1/x.
+    F'(x) = lam + theta int r q^2 dH, so one (cells x nodes) buffer serves
+    both integrals, each read from H's Gauss rule. The step at which a cell
+    stops evaluates s at its final x, which is the right-hand side of
+    1/v = s that the RESIDUAL_TOL check compares with 1/x.
     """
-    wr = H.weights * H.values
+    nodes, weights = H._rule
+    wr = weights * nodes
     seeded = x0 is not None
     x = np.where(np.isfinite(x0), x0, 0.0) if seeded else np.zeros(lam.shape)
     rhs = np.empty(lam.shape)
@@ -109,7 +113,7 @@ def _newton(
     for _ in range(MAX_ITER):
         xa, la, ta = x[active], lam[active], theta[active]
         steps += active.size
-        q = np.multiply.outer(xa, H.values)
+        q = np.multiply.outer(xa, nodes)
         q += 1.0
         np.reciprocal(q, out=q)
         s = la + ta * (q @ wr)
@@ -154,9 +158,11 @@ def _newton(
 
 
 def _scaled_second_moment(x: np.ndarray, H: SpectralMeasure) -> np.ndarray:
-    """int (x r / (1 + x r))^2 dH per cell, monotone in x with limit 1."""
-    t = np.multiply.outer(x, H.values)
-    return (t / (1.0 + t)) ** 2 @ H.weights
+    """int (x r / (1 + x r))^2 dH per cell, monotone in x with limit 1,
+    from H's Gauss rule."""
+    nodes, weights = H._rule
+    t = np.multiply.outer(x, nodes)
+    return (t / (1.0 + t)) ** 2 @ weights
 
 
 def _solve_block(

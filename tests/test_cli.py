@@ -243,7 +243,9 @@ class TestTheorySurface:
         manifest = json.loads(
             (tmp_path / "theory_surface_manifest.json").read_text())
         work = manifest["fixed_point"]
-        assert set(work) == {"surface", "markers"}
+        assert set(work) == {"surface", "markers", "rule"}
+        # 20 atoms need no compression: the rule is H itself.
+        assert work["rule"] == {"atoms": 20, "nodes": 20}
         # 6 lambda columns of 8 phis: phis = 0.25 < phi in each column, and
         # at lambda = 0 the interpolating cell phis = 0.79 is closed-form.
         surface = work["surface"]
@@ -251,6 +253,16 @@ class TestTheorySurface:
         assert surface["cell_steps"] >= surface["cells"]
         assert surface["seed_restarts"] == 0
         assert work["markers"]["blocks"] > 0
+
+    def test_manifest_records_the_gauss_rule_of_h(self, tmp_path):
+        # The default spectrum, AR(1) rho = 0.5 with p_ref = 500, compresses
+        # to 34 nodes.
+        rc = run_cli(["theory-surface", "--phi", 0.5, "--lambda", "0.1",
+                      "--phis", "2", "--out-dir", tmp_path])
+        assert rc == 0
+        manifest = json.loads(
+            (tmp_path / "theory_surface_manifest.json").read_text())
+        assert manifest["fixed_point"]["rule"] == {"atoms": 500, "nodes": 34}
 
     def test_equivalence_segment_for_an_optimum_just_above_aspect_1(self,
                                                                     tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from subridge import (
     ExcludedBoundaryError,
     SpectralMeasure,
+    ar1_model,
     isotropic_model,
     solve_v,
 )
@@ -287,3 +288,40 @@ class TestNewtonCounts:
         counts = newton_counts()
         counts["blocks"] += 100
         assert newton_counts()["blocks"] == counts["blocks"] - 100
+
+
+class TestGaussRule:
+    # The Newton core and the scaled second moment read H's Gauss rule
+    # (spectra._gauss_rule); the roots still solve the atoms' equation.
+    # Every regime but the excluded point: v = inf, ridgeless theta > 1,
+    # tiny to large penalties, aspects up to 1e6.
+    lam = np.repeat([0.0, 1e-8, 1e-3, 0.1, 1.0, 30.0], 40)
+    theta = np.tile(np.geomspace(0.05, 1e6, 40), 6)
+
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+    def test_roots_from_the_rule_solve_the_atom_equation(self, rho):
+        H = ar1_model(rho, p_ref=500)[0].H
+        assert H._rule[0].size < H.values.size
+        v, _, a_hat = _solve_block(self.lam, self.theta, H)
+        for i in np.flatnonzero(np.isfinite(v)):
+            x = v[i]
+            lhs = 1.0 / x
+            rhs = self.lam[i] + self.theta[i] * H.integrate(
+                lambda r: r / (1.0 + x * r))
+            assert abs(lhs - rhs) <= RESIDUAL_TOL * max(1.0, lhs)
+            assert a_hat[i] == pytest.approx(
+                H.integrate(lambda r: (x * r / (1.0 + x * r)) ** 2),
+                rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("atoms", [{1.0: 250, 2.0: 250},
+                                       {3.0: 100, 1.0: 100, 0.5: 300}])
+    def test_roots_of_repeated_atoms_match_the_merged_measure(self, atoms):
+        values = np.repeat(list(atoms), list(atoms.values()))
+        H = SpectralMeasure(values=values,
+                            weights=np.full(values.size, 1 / values.size))
+        merged = SpectralMeasure(
+            values=np.array(list(atoms)),
+            weights=np.array(list(atoms.values())) / values.size)
+        for got, want in zip(_solve_block(self.lam, self.theta, H),
+                             _solve_block(self.lam, self.theta, merged)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

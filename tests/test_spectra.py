@@ -144,3 +144,120 @@ def test_ar1_model_cache_is_bounded_and_keys_rho_zero_once():
 def test_null_risk():
     model = isotropic_model(rho2=1.0, sigma2=2.0)
     assert model.null_risk == pytest.approx(3.0)
+
+
+# The Gauss rule that the fixed point's integrals read (spectra._gauss_rule).
+
+def integrands(x):
+    """The fixed point's three integrands at x: r/(1+xr), r/(1+xr)^2 and
+    (xr/(1+xr))^2."""
+    return (lambda r: r / (1.0 + x * r), lambda r: r / (1.0 + x * r) ** 2,
+            lambda r: (x * r / (1.0 + x * r)) ** 2)
+
+
+def rule_integral(measure, f):
+    nodes, weights = measure._rule
+    return float(np.sum(weights * f(nodes)))
+
+
+@pytest.mark.parametrize("p_ref", [200, 500, 1000])
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.7, 0.9])
+def test_rule_integrates_moments_to_degree_2n_minus_1(rho, p_ref):
+    # Moments of r/b, which stay in range up to degree 2n - 1. A node's last
+    # bit moves (r/b)^j by j ulps, so above degree 112 the bound is 4 j eps
+    # (3.6e-13 at rho = 0.9, where 2n - 1 = 403).
+    H = ar1_model(rho, p_ref=p_ref)[0].H
+    nodes, _ = H._rule
+    b = H.values[0]
+    for j in range(2 * nodes.size):
+        exact = H.integrate(lambda r: (r / b) ** j)
+        assert rule_integral(H, lambda r: (r / b) ** j) == pytest.approx(
+            exact, rel=max(1e-13, 4 * j * np.finfo(float).eps), abs=0.0)
+
+
+@pytest.mark.parametrize("p_ref", [5, 200, 500, 1000])
+@pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 0.7, 0.9])
+def test_rule_matches_the_atom_sums_of_the_fixed_point_integrands(rho, p_ref):
+    H = ar1_model(rho, p_ref=p_ref)[0].H
+    nodes, weights = H._rule
+    assert nodes.size == weights.size <= p_ref
+    for x in np.logspace(-4, 17, 43):
+        for f in integrands(x):
+            assert rule_integral(H, f) == pytest.approx(
+                H.integrate(f), rel=1e-13, abs=0.0)
+
+
+def test_rule_compresses_the_benchmark_spectrum():
+    # AR(1) rho = 0.5, p_ref = 500: Bernstein parameter rho0 = 3.0 puts the
+    # 2^-60 bound at 34 nodes.
+    H = ar1_model(0.5, p_ref=500)[0].H
+    nodes, weights = H._rule
+    assert nodes.size == 34
+    assert H._rule is H._rule  # built once per measure
+    assert np.all((nodes >= H.values[-1]) & (nodes <= H.values[0]))
+    assert np.all(weights > 0.0)
+    for array in (nodes, weights):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("measure", [
+    pytest.param(lambda: isotropic_model(1.0, 1.0).H, id="isotropic"),
+    pytest.param(lambda: ar1_model(0.0, p_ref=500)[0].H, id="rho-0"),
+    pytest.param(lambda: ar1_model(0.5, p_ref=5)[0].H, id="p_ref-5"),
+    pytest.param(lambda: ar1_model(0.9, p_ref=500)[0].G, id="G"),
+])
+def test_a_measure_that_does_not_compress_is_its_own_rule(measure):
+    m = measure()
+    nodes, weights = m._rule
+    assert nodes.tobytes() == m.values.tobytes()
+    assert weights.tobytes() == m.weights.tobytes()
+
+
+@pytest.mark.parametrize("atoms, distinct, mass", [
+    ({1.0: 250, 2.0: 250}, [2.0, 1.0], [0.5, 0.5]),
+    ({3.0: 100, 1.0: 100, 0.5: 300}, [3.0, 1.0, 0.5], [0.2, 0.2, 0.6]),
+])
+def test_rule_of_repeated_atoms_is_the_distinct_atoms(atoms, distinct, mass):
+    values = np.repeat(list(atoms), list(atoms.values()))
+    H = SpectralMeasure(values=values, weights=np.full(values.size, 1 / values.size))
+    nodes, weights = H._rule
+    assert list(nodes) == distinct
+    np.testing.assert_allclose(weights, mass, rtol=1e-14, atol=0.0)
+
+
+def test_rule_stops_lanczos_when_atoms_cluster_to_rounding():
+    # Two clusters of 250 distinct atoms each, a few ulps wide: the Krylov
+    # space is spent after two steps, and the rule is the two clusters.
+    spread = 1.0 + np.finfo(float).eps * np.arange(250)
+    values = np.concatenate([spread, 2.0 * spread])
+    H = SpectralMeasure(values=values, weights=np.full(500, 1 / 500))
+    nodes, weights = H._rule
+    assert nodes.size == 2
+    assert np.all((nodes >= H.values[-1]) & (nodes <= H.values[0]))
+    np.testing.assert_allclose(weights, [0.5, 0.5], rtol=1e-14, atol=0.0)
+    for x in np.logspace(-4, 17, 22):
+        for f in integrands(x):
+            assert rule_integral(H, f) == pytest.approx(
+                H.integrate(f), rel=1e-13, abs=0.0)
+
+
+def test_rule_bytes_do_not_depend_on_blas_threads():
+    # H from an array, not from eigh: the AR(1) symbol at rho = 0.9 on a
+    # grid of 1000 angles, which compresses to some 200 nodes.
+    code = (
+        "import hashlib, numpy as np; from subridge import SpectralMeasure; "
+        "t = np.arange(1, 1001) * np.pi / 1001; "
+        "v = 0.19 / (1.81 - 1.8 * np.cos(t)); "
+        "nodes, weights = SpectralMeasure(values=v, weights=np.full(1000, 1e-3))._rule; "
+        "print(nodes.size, hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest())"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert int(outputs[0].split()[0]) < 1000
+    assert outputs[0] == outputs[1]
