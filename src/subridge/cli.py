@@ -193,9 +193,9 @@ def cmd_theory_surface(args) -> int:
     lam_grid, phis_grid = args.lam, args.phis
     # Everything is computed before the first output is written, so a
     # rejected argument leaves no partial output behind.
-    before = newton_counts()
+    marks = [(newton_counts(), time.perf_counter())]
     surface = risk_surface(args.phi, lam_grid, phis_grid, model)
-    after_surface = newton_counts()
+    marks.append((newton_counts(), time.perf_counter()))
     phis_star, r_sub = optimal_subsample(0.0, args.phi, model)
     lam_star, r_lam = optimal_lambda(args.phi, args.phi, model)
     segment = []
@@ -204,12 +204,14 @@ def cmd_theory_surface(args) -> int:
             {"t": pt.t, "lambda": pt.lam, "phis": pt.phis, "risk": pt.risk}
             for pt in equivalence_path(args.phi, phis_star, model, 11)
         ]
-    # The Newton core's work for each output file, and the size of the
-    # Gauss rule of H it read.
+    marks.append((newton_counts(), time.perf_counter()))
+    # The Newton core's work and the seconds for each output file, and the
+    # size of the Gauss rule of H it read.
     fixed_point = {
-        name: {key: end[key] - start[key] for key in end}
-        for name, start, end in (("surface", before, after_surface),
-                                 ("markers", after_surface, newton_counts()))
+        name: {**{key: end[key] - start[key] for key in end},
+               "seconds": round(ended - began, 3)}
+        for name, (start, began), (end, ended) in zip(
+            ("surface", "markers"), marks, marks[1:])
     }
     fixed_point["rule"] = {"atoms": model.H.values.size,
                            "nodes": model.H._rule[0].size}

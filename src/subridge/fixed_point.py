@@ -12,8 +12,8 @@ H here reads its Gauss rule (``H._rule``, see ``spectra._gauss_rule``),
 which matches the atom sums to rounding with fewer nodes.
 
 One Newton core solves a block of (lam, theta) cells at once, started at
-x = 0 or, per cell, from a point below its root; the scalar :func:`solve_v`
-runs it on a one-cell block and remembers the result on the measure.
+x = 0; the scalar :func:`solve_v` runs it on a one-cell block and remembers
+the result on the measure.
 :func:`newton_counts` reports the core's work in the process.
 """
 
@@ -72,30 +72,26 @@ class FixedPointSolution:
     scaled_second_moment: float
 
 
-_NEWTON_COUNTS = {"blocks": 0, "cells": 0, "cell_steps": 0, "seed_restarts": 0}
+_NEWTON_COUNTS = {"blocks": 0, "cells": 0, "cell_steps": 0}
 
 
 def newton_counts() -> dict[str, int]:
-    """The Newton core's work so far in this process: blocks solved, cells,
-    cell-steps (active cells summed over steps) and seeded starts that lay
-    above their root and restarted from 0. A caller reads its own work as
-    the change between two calls."""
+    """The Newton core's work so far in this process: blocks solved, cells
+    and cell-steps (active cells summed over steps). A caller reads its own
+    work as the change between two calls."""
     return dict(_NEWTON_COUNTS)
 
 
 def _newton(
-    lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure,
-    x0: np.ndarray | None = None,
+    lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure
 ) -> tuple[np.ndarray, int]:
     """Roots of F(x) = lam x + theta int xr/(1+xr) dH - 1, one per cell, and
     the number of cell-steps taken (the sum over steps of the active cells).
 
     F is increasing and concave with F(0) = -1, so Newton steps started at
-    x = 0, or at any x0 with F(x0) <= 0, rise monotonically to the root; a
-    cell is done once its step no longer moves x forward, which happens when
-    rounding reaches the root. A start x0 that is not finite, or at which
-    F > 0, is replaced by 0. Cells must be regular: theta finite, and
-    lam > 0 or theta > 1.
+    x = 0 rise monotonically to the root; a cell is done once its step no
+    longer moves x forward, which happens when rounding reaches the root.
+    Cells must be regular: theta finite, and lam > 0 or theta > 1.
 
     With q = 1/(1+xr), F(x) = x s - 1 with s = lam + theta int r q dH, and
     F'(x) = lam + theta int r q^2 dH, so one (cells x nodes) buffer serves
@@ -105,11 +101,10 @@ def _newton(
     """
     nodes, weights = H._rule
     wr = weights * nodes
-    seeded = x0 is not None
-    x = np.where(np.isfinite(x0), x0, 0.0) if seeded else np.zeros(lam.shape)
+    x = np.zeros(lam.shape)
     rhs = np.empty(lam.shape)
     active = np.arange(lam.size)
-    steps = restarts = 0
+    steps = 0
     for _ in range(MAX_ITER):
         xa, la, ta = x[active], lam[active], theta[active]
         steps += active.size
@@ -121,13 +116,6 @@ def _newton(
         q *= q
         x_new = xa - F / (la + ta * (q @ wr))
         moved = x_new > xa
-        if seeded:
-            # A start above its root restarts from 0 on the next step.
-            above = F > 0.0
-            x_new[above] = 0.0
-            moved |= above
-            restarts = int(np.count_nonzero(above))
-            seeded = False
         x[active[moved]] = x_new[moved]
         rhs[active[~moved]] = s[~moved]
         active = active[moved]
@@ -136,7 +124,6 @@ def _newton(
     _NEWTON_COUNTS["blocks"] += 1
     _NEWTON_COUNTS["cells"] += lam.size
     _NEWTON_COUNTS["cell_steps"] += steps
-    _NEWTON_COUNTS["seed_restarts"] += restarts
     if active.size:
         i = active[0]
         raise FixedPointConvergenceError(
@@ -166,14 +153,12 @@ def _scaled_second_moment(x: np.ndarray, H: SpectralMeasure) -> np.ndarray:
 
 
 def _solve_block(
-    lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure,
-    x0: np.ndarray | None = None,
+    lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(v, ell, scaled second moment) for up to BLOCK_CELLS cells.
 
     Same conventions and errors as :func:`solve_v`; one offending cell
-    raises for the block. x0, if given, holds a Newton start per cell (see
-    :func:`_newton`); the roots agree with a start at 0 to rounding.
+    raises for the block.
     """
     if lam.size > BLOCK_CELLS:
         raise ValueError(f"a block holds at most {BLOCK_CELLS} cells")
@@ -192,8 +177,7 @@ def _solve_block(
     a_hat[interpolating] = 1.0
     regular = ~interpolating & (theta < math.inf)
     if regular.any():
-        x, _ = _newton(lam[regular], theta[regular], H,
-                       None if x0 is None else x0[regular])
+        x, _ = _newton(lam[regular], theta[regular], H)
         v[regular] = x
         ell[regular] = lam[regular] * x
         a_hat[regular] = _scaled_second_moment(x, H)

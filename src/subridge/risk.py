@@ -172,21 +172,17 @@ def asymptotic_risk(
 
 def _risk_cells(
     phi: float, lam: np.ndarray, phis: np.ndarray, model: ModelSpec,
-    M: float = math.inf, x0: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Risk and fixed-point root v per (lam, phis) cell of two 1-d arrays.
+    M: float = math.inf,
+) -> np.ndarray:
+    """Risk per (lam, phis) cell of two 1-d arrays.
 
     The risk is NaN exactly where :func:`asymptotic_risk` raises
     ValueError: phis below phi, the excluded ridgeless point at aspect 1,
-    a divergent variance, or any M but a positive integer or inf; v is NaN
-    in the cells it did not solve.
-    The fixed point is solved in blocks of at most BLOCK_CELLS cells, with
-    Newton started from x0 where it is given (a point below each root, see
-    fixed_point._newton)."""
+    a divergent variance, or any M but a positive integer or inf.
+    The fixed point is solved in blocks of at most BLOCK_CELLS cells."""
     risk = np.full(lam.shape, np.nan)
-    roots = np.full(lam.shape, np.nan)
     if not (phi > 0 and _is_ensemble_size(M)):
-        return risk, roots
+        return risk
     valid = (phis >= phi) & (lam >= 0.0)
     null = valid & (np.isinf(phis) | np.isinf(lam))
     risk[null] = model.null_risk
@@ -194,14 +190,12 @@ def _risk_cells(
     for start in range(0, cells.size, BLOCK_CELLS):
         block = cells[start:start + BLOCK_CELLS]
         lam_b, phis_b = lam[block], phis[block]
-        v, _, a_hat = _solve_block(lam_b, phis_b, model.H,
-                                   None if x0 is None else x0[block])
-        roots[block] = v
+        v, _, a_hat = _solve_block(lam_b, phis_b, model.H)
         ok = 1.0 - phis_b * a_hat > 0.0
         bias, variance = _bias_variance(
             phi, phis_b[ok], M, a_hat[ok], _tilde_c_values(v[ok], model.G), model)
         risk[block[ok]] = model.sigma2 + bias + variance
-    return risk, roots
+    return risk
 
 
 def _left_out(x: float, M: float) -> float:
@@ -348,7 +342,7 @@ def equivalence_path(
     # Exact ends: at phis_bar = inf no end multiplies inf by 0.
     lam = np.multiply(1.0 - t, lam_bar, out=np.zeros(num), where=t < 1.0)
     phis = phi + np.multiply(t, phis_bar - phi, out=np.zeros(num), where=t > 0.0)
-    risk, _ = _risk_cells(phi, lam, phis, model)
+    risk = _risk_cells(phi, lam, phis, model)
     return [ContourPoint(*map(float, cell)) for cell in zip(t, lam, phis, risk)]
 
 
@@ -378,7 +372,7 @@ def optimal_lambda(phi: float, phis: float, model: ModelSpec) -> tuple[float, fl
     _validate_aspects(0.0, phi, phis)
 
     def risk_at(lam):
-        return _risk_cells(phi, lam, np.full(lam.shape, float(phis)), model)[0]
+        return _risk_cells(phi, lam, np.full(lam.shape, float(phis)), model)
 
     grid = np.concatenate(([0.0], np.logspace(-6, 4, 81)))
     if phis == 1.0:
@@ -396,7 +390,7 @@ def optimal_subsample(lam: float, phi: float, model: ModelSpec) -> tuple[float, 
     _validate_aspects(lam, phi, phi)
 
     def risk_at(phis):
-        return _risk_cells(phi, np.full(phis.shape, float(lam)), phis, model)[0]
+        return _risk_cells(phi, np.full(phis.shape, float(lam)), phis, model)
 
     grid = np.geomspace(max(phi, 1e-8), 1e4, 161)
     if lam == 0.0:
@@ -419,54 +413,6 @@ def optimal_subsample(lam: float, phi: float, model: ModelSpec) -> tuple[float, 
     return best_phis, best_risk
 
 
-# The surface starts each lam column's Newton from the polynomial through
-# the roots of the last _SEED_COLUMNS solved columns.
-_SEED_COLUMNS = 4
-
-
-def _extrapolated_start(
-    columns: list[tuple[float, np.ndarray]], lam: float
-) -> np.ndarray:
-    """Newton start per cell for the column at lam, below every solved
-    column's lam: the polynomial through their roots (columns holds
-    (lam_a, roots_a) pairs), lowered by a rounding margin and floored at the
-    last column's roots.
-
-    v(-lam; theta) is a Stieltjes transform at -lam, so it is completely
-    monotone in lam: (-1)^m d^m v / d lam^m >= 0. The interpolation error
-    at lam is v^(m)(xi) / m! prod_a (lam - lam_a); every factor is negative,
-    so the remainder is >= 0 and the polynomial is a lower bound on the root
-    at any degree and spacing. The last column's roots bound it from below
-    too, since v decreases in lam.
-
-    The margin covers the rounding of P = sum_a w_a r_a, with Lagrange
-    weights w_a = prod_{b != a} (lam - lam_b) / (lam_a - lam_b) and roots
-    r_a, in units of u = eps / 2. With m <= 4 columns, each w_a takes
-    3 (m - 1) roundings for its quotients (two differences and a division
-    each) and m - 2 for their product, 11 in all, so its relative error is
-    at most about 11u. The product w_a r_a adds u, the sum of m terms
-    (m - 1)u = 3u, and subtracting the margin u: 16u sum_a |w_a r_a| in all,
-    which is the margin 8 eps sum_a |w_a r_a|. The start is then below the
-    exact polynomial through the computed roots. Those roots differ from the
-    exact ones by rounding, which the floor, and a restart from 0 where
-    F > 0, absorb: on isotropic and AR(1) spectra, with lam down to 1e-6
-    and theta within 1e-3 of 1, no start lay above the root solved from 0.
-    """
-    lams = [lam_a for lam_a, _ in columns]
-    weights = []
-    for a, lam_a in enumerate(lams):
-        w = 1.0
-        for b, lam_b in enumerate(lams):
-            if b != a:
-                w *= (lam - lam_b) / (lam_a - lam_b)
-        weights.append(w)
-    with np.errstate(invalid="ignore", over="ignore"):
-        terms = np.array(weights)[:, None] * np.stack([r for _, r in columns])
-        margin = 8.0 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
-        # A cell whose polynomial is NaN takes the floor.
-        return np.fmax(terms.sum(axis=0) - margin, columns[-1][1])
-
-
 def risk_surface(
     phi: float, lam_grid: np.ndarray, phis_grid: np.ndarray, model: ModelSpec,
     M: float = math.inf,
@@ -474,24 +420,16 @@ def risk_surface(
     """Risk on the product grid, shaped (len(lam_grid), len(phis_grid)).
 
     Grid points outside the theory's domain are NaN rather than raising,
-    as in :func:`_risk_cells`. The grid is solved one distinct lam column at
-    a time in decreasing lam, each column's Newton started from a lower
-    bound on its roots extrapolated from the previous columns'
-    (:func:`_extrapolated_start`). Columns whose lam is not finite, or that
-    solved no cell, seed nothing. A repeated lam repeats its column.
+    as in :func:`_risk_cells`. One call of :func:`_risk_cells`, over the
+    distinct lam values times phis_grid, solves every cell, so a repeated
+    lam repeats its row bit for bit.
     """
     lam = np.ravel(np.asarray(lam_grid, dtype=float))
     phis = np.ravel(np.asarray(phis_grid, dtype=float))
-    columns, column_of = np.unique(lam, return_inverse=True)  # NaN last
-    surface = np.empty((columns.size, phis.size))
-    solved = []
-    for i in range(columns.size - 1, -1, -1):
-        x0 = _extrapolated_start(solved, columns[i]) if solved else None
-        surface[i], roots = _risk_cells(
-            phi, np.full(phis.size, columns[i]), phis, model, M, x0=x0)
-        if math.isfinite(columns[i]) and not np.isnan(roots).all():
-            solved = (solved + [(columns[i], roots)])[-_SEED_COLUMNS:]
-    return surface[column_of]
+    rows, row_of = np.unique(lam, return_inverse=True)
+    risk = _risk_cells(phi, np.repeat(rows, phis.size),
+                       np.tile(phis, rows.size), model, M)
+    return risk.reshape(rows.size, phis.size)[row_of]
 
 
 def surface_nan_reasons(

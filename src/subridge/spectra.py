@@ -95,10 +95,11 @@ def _gauss_rule(values: np.ndarray,
     error of an n-node Gauss rule falls like rho0^(-2n), with
     rho0 = (sqrt(b) + sqrt(a)) / (sqrt(b) - sqrt(a)) the Bernstein ellipse
     through 0. n = ceil(30 ln 2 / ln rho0) + 4 puts that bound at 2^-60,
-    below rounding. A measure with at most n atoms, or with one distinct
-    atom (the isotropic model, AR(1) at rho = 0), is returned as it is.
-    Otherwise repeated atoms are merged, with their weights summed exactly
-    (math.fsum), and a measure with at most n distinct atoms is returned as
+    below rounding. A measure with one distinct atom (the isotropic model,
+    AR(1) at rho = 0) is one node carrying the exact sum (math.fsum) of the
+    weights, and any other measure with at most n atoms is returned as it
+    is. Otherwise repeated atoms are merged, with their weights summed
+    exactly, and a measure with at most n distinct atoms is returned as
     those.
 
     Beyond n distinct atoms, Lanczos on their diagonal matrix from the
@@ -112,7 +113,7 @@ def _gauss_rule(values: np.ndarray,
     """
     b, a = values[0], values[-1]
     if a == b:
-        return values, weights
+        return values[:1], np.array([math.fsum(weights)])
     rho0 = (math.sqrt(b) + math.sqrt(a)) / (math.sqrt(b) - math.sqrt(a))
     n = math.ceil(30.0 * math.log(2.0) / math.log(rho0)) + 4
     if values.size <= n:

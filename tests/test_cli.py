@@ -246,13 +246,16 @@ class TestTheorySurface:
         assert set(work) == {"surface", "markers", "rule"}
         # 20 atoms need no compression: the rule is H itself.
         assert work["rule"] == {"atoms": 20, "nodes": 20}
-        # 6 lambda columns of 8 phis: phis = 0.25 < phi in each column, and
-        # at lambda = 0 the interpolating cell phis = 0.79 is closed-form.
+        # 6 lambda rows of 8 phis: phis = 0.25 < phi in each row, and at
+        # lambda = 0 the interpolating cell phis = 0.79 is closed-form. The
+        # 41 cells left are one block.
         surface = work["surface"]
-        assert surface["blocks"] == 6 and surface["cells"] == 6 * 7 - 1
+        assert set(surface) == {"blocks", "cells", "cell_steps", "seconds"}
+        assert surface["blocks"] == 1 and surface["cells"] == 6 * 7 - 1
         assert surface["cell_steps"] >= surface["cells"]
-        assert surface["seed_restarts"] == 0
         assert work["markers"]["blocks"] > 0
+        for stage in ("surface", "markers"):
+            assert work[stage]["seconds"] >= 0.0
 
     def test_manifest_records_the_gauss_rule_of_h(self, tmp_path):
         # The default spectrum, AR(1) rho = 0.5 with p_ref = 500, compresses

@@ -203,31 +203,6 @@ class TestSolveMemo:
         assert repr(H1) == repr(H2)  # the memo is not part of the value
 
 
-class TestSeededNewton:
-    H = SpectralMeasure(values=np.array([0.3, 1.0, 4.0]),
-                        weights=np.array([0.2, 0.5, 0.3]))
-    lam = np.array([0.0, 1e-6, 0.2, 3.0, 0.5])
-    theta = np.array([2.0, 0.7, 1.0, 40.0, 1.5])
-
-    def test_start_below_the_root_takes_fewer_steps(self):
-        cold, cold_steps = _newton(self.lam, self.theta, self.H)
-        seeded, seeded_steps = _newton(self.lam, self.theta, self.H, 0.5 * cold)
-        np.testing.assert_allclose(seeded, cold, rtol=4 * np.finfo(float).eps)
-        assert seeded_steps < cold_steps
-
-    def test_start_above_the_root_or_not_finite_restarts_from_zero(self):
-        cold, _ = _newton(self.lam, self.theta, self.H)
-        starts = np.array([2.0 * cold[0], math.inf, math.nan, 10.0 * cold[3], 0.0])
-        seeded, _ = _newton(self.lam, self.theta, self.H, starts)
-        np.testing.assert_allclose(seeded, cold, rtol=4 * np.finfo(float).eps)
-
-    def test_start_at_the_root_stays_there(self):
-        cold, cold_steps = _newton(self.lam, self.theta, self.H)
-        seeded, steps = _newton(self.lam, self.theta, self.H, cold)
-        np.testing.assert_allclose(seeded, cold, rtol=4 * np.finfo(float).eps)
-        assert steps < cold_steps
-
-
 class TestNewtonFailures:
     # _newton checks the residual it evaluated at each cell's final step;
     # every way it can fail still raises (an overflow to inf: see
@@ -264,16 +239,7 @@ class TestNewtonCounts:
 
     def test_counts_blocks_cells_and_steps(self):
         (_, steps), counts = self.delta(self.lam, self.theta, self.H)
-        assert counts == {"blocks": 1, "cells": 4, "cell_steps": steps,
-                          "seed_restarts": 0}
-
-    def test_counts_starts_above_the_root_as_restarts(self):
-        cold, _ = _newton(self.lam, self.theta, self.H)
-        # Above the root, not finite (a cold start, not a restart), below it.
-        starts = np.array([2.0 * cold[0], math.inf, 0.5 * cold[2], 3.0 * cold[3]])
-        (x, _), counts = self.delta(self.lam, self.theta, self.H, starts)
-        np.testing.assert_allclose(x, cold, rtol=4 * np.finfo(float).eps)
-        assert counts["seed_restarts"] == 2 and counts["blocks"] == 1
+        assert counts == {"blocks": 1, "cells": 4, "cell_steps": steps}
 
     def test_failed_solve_still_counts(self, monkeypatch):
         monkeypatch.setattr(subridge.fixed_point, "MAX_ITER", 1)

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from subridge import (
     ar1_model,
@@ -25,7 +23,6 @@ from subridge import (
 from subridge.fixed_point import (
     BLOCK_CELLS,
     DivergentVarianceError,
-    _newton,
     newton_counts,
 )
 from subridge.spectra import ModelSpec, SpectralMeasure
@@ -457,11 +454,10 @@ def test_ensemble_size_must_be_a_positive_integer_or_inf(M):
 
 
 @pytest.mark.parametrize("M", [1, 2, math.inf])
-def test_seeded_surface_matches_scalar_risk_cell_by_cell(M):
+def test_surface_matches_scalar_risk_cell_by_cell(M):
     # Unsorted lam with duplicates and NaNs, lam = 0 next to interpolating
     # cells (phis < 1), and a phis grid longer than one solver block, so
-    # each lam column is solved in two blocks. Most columns start from a
-    # cubic through the four previous columns' roots.
+    # blocks cut across lam rows.
     phi = 0.3
     lam_grid = np.array([0.7, 0.0, 0.05, 0.7, 4.0, 1e-6, 0.05, math.inf,
                          np.nan, 1e-3, 0.2, 1e-4, np.nan, 0.01])
@@ -480,30 +476,6 @@ def test_seeded_surface_matches_scalar_risk_cell_by_cell(M):
     # cell at lam = 0.
     assert np.isnan(surface).sum() == 2 * phis_grid.size + lam_grid.size - 2 + 1
     np.testing.assert_array_equal(surface[0], surface[3])
-
-
-def test_seeded_surface_takes_fewer_newton_steps(monkeypatch):
-    import subridge.fixed_point
-
-    newton = subridge.fixed_point._newton
-    steps = []
-
-    def counting(*args, **kwargs):
-        x, taken = newton(*args, **kwargs)
-        steps.append(taken)
-        return x, taken
-
-    monkeypatch.setattr(subridge.fixed_point, "_newton", counting)
-    phi = 0.1
-    lam, phis = np.linspace(0.0, 2.0, 81), np.linspace(phi, 10.0, 100)
-    seeded = risk_surface(phi, lam, phis, AR1)
-    seeded_steps = sum(steps)
-    steps.clear()
-    lam_cells, phis_cells = (a.ravel() for a in np.meshgrid(lam, phis, indexing="ij"))
-    cold, _ = subridge.risk._risk_cells(phi, lam_cells, phis_cells, AR1)
-    cold_steps = sum(steps)
-    np.testing.assert_allclose(seeded.ravel(), cold, rtol=1e-12, atol=0.0)
-    assert seeded_steps < cold_steps
 
 
 def test_surface_nan_reasons_count_each_reason():
@@ -553,72 +525,25 @@ def test_ridgeless_single_member_gcv_limit_keeps_the_recorded_zero():
         assert gcv_limit_finite_M(0.0, 0.1, phis, model, M=1) == 0.0
 
 
-def _F(x, lam, theta, H):
-    """F(x) = x (lam + theta int r/(1 + xr) dH) - 1, evaluated as _newton
-    does."""
-    q = 1.0 / (1.0 + np.multiply.outer(x, H.values))
-    return x * (lam + theta * (q @ (H.weights * H.values))) - 1.0
-
-
-SEED_MODELS = [ISO, AR1, ar1_model(0.9, p_ref=60)[0]]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    model=st.sampled_from(SEED_MODELS),
-    geometric=st.booleans(),
-    lo=st.floats(1e-6, 0.1),
-    hi=st.floats(0.5, 20.0),
-    count=st.integers(2, 30),
-    thetas=st.lists(st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 20.0),
-                              st.floats(0.999, 1.001)),
-                    min_size=1, max_size=20),
-)
-def test_extrapolated_starts_bound_each_root(model, geometric, lo, hi, count,
-                                             thetas):
-    # Each column's start lies between the previous column's roots and the
-    # column's own roots solved from 0, at a point where F <= 0, so the
-    # monotone Newton argument holds and nothing restarts.
-    import subridge.risk
-
-    starts = []
-    extrapolate = subridge.risk._extrapolated_start
-
-    def recording(columns, lam):
-        start = extrapolate(columns, lam)
-        starts.append((lam, columns[-1][1], start))
-        return start
-
-    lam = np.geomspace(lo, hi, count) if geometric else np.linspace(lo, hi, count)
-    theta = np.array(thetas)
-    phi = 0.5 * float(theta.min())
-    before = newton_counts()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(subridge.risk, "_extrapolated_start", recording)
-        risk_surface(phi, lam, theta, model)
-    assert newton_counts()["seed_restarts"] == before["seed_restarts"]
-    assert len(starts) == count - 1
-    for lam_i, previous, start in starts:
-        cold, _ = _newton(np.full(theta.size, lam_i), theta, model.H)
-        assert np.all(start >= previous), lam_i
-        assert np.all(start <= cold), lam_i
-        assert np.all(_F(start, lam_i, theta, model.H) <= 0.0), lam_i
-
-
 def test_benchmark_surfaces_take_few_newton_steps():
     # The benchmark's three theory-surface grids: 24,300 cells, of which
-    # 24,284 are solved by Newton; started at 0 they took 157,633
-    # cell-steps, and from the previous column's roots 109,559.
+    # 24,284 are solved by Newton from 0 in blocks of BLOCK_CELLS. Each
+    # surface is one call, so its Python-level Newton calls are
+    # ceil(cells / BLOCK_CELLS). Cold solves took 155,476 to 155,582
+    # cell-steps under one and two BLAS threads.
     model, _, _ = ar1_model(0.5, p_ref=500)
     before = newton_counts()
+    blocks = 0
     for phi in (0.1, 0.5, 1.5):
+        start = newton_counts()["cells"]
         risk_surface(phi, np.linspace(0.0, 2.0, 81), np.linspace(phi, 10.0, 100),
                      model)
+        blocks += -(-(newton_counts()["cells"] - start) // BLOCK_CELLS)
     after = newton_counts()
     counts = {key: after[key] - before[key] for key in after}
     assert counts["cells"] == 24_284
-    assert counts["seed_restarts"] == 0
-    assert counts["cell_steps"] <= 85_000
+    assert counts["blocks"] == blocks == 96
+    assert counts["cell_steps"] <= 160_000
 
 
 # Isotropic (phi, SNR) sweep for the ridgeless optimum just above aspect 1.

@@ -202,7 +202,6 @@ def test_rule_compresses_the_benchmark_spectrum():
 
 @pytest.mark.parametrize("measure", [
     pytest.param(lambda: isotropic_model(1.0, 1.0).H, id="isotropic"),
-    pytest.param(lambda: ar1_model(0.0, p_ref=500)[0].H, id="rho-0"),
     pytest.param(lambda: ar1_model(0.5, p_ref=5)[0].H, id="p_ref-5"),
     pytest.param(lambda: ar1_model(0.9, p_ref=500)[0].G, id="G"),
 ])
@@ -216,6 +215,9 @@ def test_a_measure_that_does_not_compress_is_its_own_rule(measure):
 @pytest.mark.parametrize("atoms, distinct, mass", [
     ({1.0: 250, 2.0: 250}, [2.0, 1.0], [0.5, 0.5]),
     ({3.0: 100, 1.0: 100, 0.5: 300}, [3.0, 1.0, 0.5], [0.2, 0.2, 0.6]),
+    # H of AR(1) at rho = 0: eigh of the identity, 500 atoms at 1 of
+    # weight 1/500, is one node.
+    pytest.param({1.0: 500}, [1.0], [1.0], id="rho-0"),
 ])
 def test_rule_of_repeated_atoms_is_the_distinct_atoms(atoms, distinct, mass):
     values = np.repeat(list(atoms), list(atoms.values()))
