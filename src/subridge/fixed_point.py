@@ -13,7 +13,8 @@ which matches the atom sums to rounding with fewer nodes.
 
 One Newton core solves a block of (lam, theta) cells at once, started at
 x = 0; the scalar :func:`solve_v` runs it on a one-cell block and remembers
-the result on the measure.
+the result on the measure. Its sums over nodes run in numpy's einsum loop,
+which rounds a row alike in any block, so a cell depends only on (lam, theta, H).
 :func:`newton_counts` reports the core's work in the process.
 """
 
@@ -36,11 +37,11 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-12
 MAX_ITER = 200
-# Largest number of cells solved together. The core's temporaries hold
-# cells x nodes doubles of H's Gauss rule; unblocked, an 81 x 100 grid on a
+# Largest cells x nodes of H's Gauss rule solved together: the core's
+# temporaries hold that many doubles. Unblocked, an 81 x 100 grid on a
 # spectrum that does not compress (500 nodes) adds ~144 MB of peak memory,
-# while blocks of 256 cells add none measurable.
-BLOCK_CELLS = 256
+# while blocks of 256 such cells add none measurable.
+BLOCK_BUDGET = 256 * 500
 # One-cell results solve_v keeps per measure; the oldest is dropped first.
 SOLVE_MEMO_SIZE = 1024
 
@@ -82,11 +83,13 @@ def newton_counts() -> dict[str, int]:
     return dict(_NEWTON_COUNTS)
 
 
-def _newton(
-    lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure
-) -> tuple[np.ndarray, int]:
-    """Roots of F(x) = lam x + theta int xr/(1+xr) dH - 1, one per cell, and
-    the number of cell-steps taken (the sum over steps of the active cells).
+def _block_cells(H: SpectralMeasure) -> int:
+    """Most cells a block on H holds: BLOCK_BUDGET over H's rule nodes, >= 1."""
+    return max(1, BLOCK_BUDGET // H._rule[0].size)
+
+
+def _newton(lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure) -> np.ndarray:
+    """Roots of F(x) = lam x + theta int xr/(1+xr) dH - 1, one per cell.
 
     F is increasing and concave with F(0) = -1, so Newton steps started at
     x = 0 rise monotonically to the root; a cell is done once its step no
@@ -111,10 +114,10 @@ def _newton(
         q = np.multiply.outer(xa, nodes)
         q += 1.0
         np.reciprocal(q, out=q)
-        s = la + ta * (q @ wr)
+        s = la + ta * np.einsum("ij,j->i", q, wr)
         F = xa * s - 1.0
         q *= q
-        x_new = xa - F / (la + ta * (q @ wr))
+        x_new = xa - F / (la + ta * np.einsum("ij,j->i", q, wr))
         moved = x_new > xa
         x[active[moved]] = x_new[moved]
         rhs[active[~moved]] = s[~moved]
@@ -141,7 +144,7 @@ def _newton(
             f"v = {float(x[i])!r} with residual {abs(lhs[i] - rhs[i]):.3e} at "
             f"lam = {float(lam[i])!r}, theta = {float(theta[i])!r}"
         )
-    return x, steps
+    return x
 
 
 def _scaled_second_moment(x: np.ndarray, H: SpectralMeasure) -> np.ndarray:
@@ -149,19 +152,19 @@ def _scaled_second_moment(x: np.ndarray, H: SpectralMeasure) -> np.ndarray:
     from H's Gauss rule."""
     nodes, weights = H._rule
     t = np.multiply.outer(x, nodes)
-    return (t / (1.0 + t)) ** 2 @ weights
+    return np.einsum("ij,j->i", (t / (1.0 + t)) ** 2, weights)
 
 
 def _solve_block(
     lam: np.ndarray, theta: np.ndarray, H: SpectralMeasure
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(v, ell, scaled second moment) for up to BLOCK_CELLS cells.
+    """(v, ell, scaled second moment) for up to _block_cells(H) cells.
 
     Same conventions and errors as :func:`solve_v`; one offending cell
     raises for the block.
     """
-    if lam.size > BLOCK_CELLS:
-        raise ValueError(f"a block holds at most {BLOCK_CELLS} cells")
+    if lam.size > _block_cells(H):
+        raise ValueError(f"a block on H holds at most {_block_cells(H)} cells")
     if not np.all((lam >= 0.0) & (lam < math.inf)):
         raise ValueError("lam must be finite and nonnegative")
     if not np.all(theta > 0.0):
@@ -177,7 +180,7 @@ def _solve_block(
     a_hat[interpolating] = 1.0
     regular = ~interpolating & (theta < math.inf)
     if regular.any():
-        x, _ = _newton(lam[regular], theta[regular], H)
+        x = _newton(lam[regular], theta[regular], H)
         v[regular] = x
         ell[regular] = lam[regular] * x
         a_hat[regular] = _scaled_second_moment(x, H)
@@ -211,18 +214,8 @@ def solve_v(lam: float, theta: float, H: SpectralMeasure) -> FixedPointSolution:
     return FixedPointSolution(lam, theta, v=v, ell=ell, scaled_second_moment=a_hat)
 
 
-def _tilde_v_values(vartheta, a_hat):
-    """Variance-inflation constant vtilde(-lam; vartheta, theta), elementwise.
-
-    Equal to vartheta*A / (v^-2 - vartheta*A) with A = int r^2 (1+vr)^-2 dH,
-    evaluated in the v^2-rescaled form vartheta*Ahat / (1 - vartheta*Ahat)
-    so the v = +inf regime is a regular point; the caller checks that the
-    denominator is positive."""
-    return vartheta * a_hat / (1.0 - vartheta * a_hat)
-
-
 def _tilde_c_values(v: np.ndarray, G: SpectralMeasure) -> np.ndarray:
     """Bias constant ctilde(-lam; theta) = int r (1 + v r)^-2 dG per cell:
     0 where v = +inf, int r dG where v = 0."""
     q = 1.0 / (1.0 + np.multiply.outer(v, G.values))
-    return q * q @ (G.weights * G.values)
+    return np.einsum("ij,j->i", q * q, G.weights * G.values)

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixed_point import (
-    BLOCK_CELLS,
     DivergentVarianceError,
     FixedPointSolution,
+    _block_cells,
     _solve_block,
     _tilde_c_values,
-    _tilde_v_values,
     solve_v,
 )
 from .spectra import ModelSpec, SpectralMeasure
@@ -109,26 +108,40 @@ def _is_ensemble_size(M: float) -> bool:
     return M >= 1 and (M == math.inf or M == int(M))
 
 
+def _cell_step(phis, v, a_hat, G: SpectralMeasure):
+    """The bias constant c~ of solved cells, one or a block, and whether their
+    self variance converges: 1 - phis * Ahat > 0."""
+    return _tilde_c_values(v, G), 1.0 - phis * a_hat > 0.0
+
+
 def _solve_cell(lam, phi, phis, model: ModelSpec, M) -> _Solved | None:
     """The prologue of every scalar limit: check (lam, phi, phis) and M, then
-    solve the cell once. None stands for the null predictor (lam = inf or
-    phis = inf), which fits nothing: every limit of it is its risk."""
+    solve the cell once, raising DivergentVarianceError where its variance
+    diverges. None stands for the null predictor (lam = inf or phis = inf),
+    which fits nothing: every limit of it is its risk."""
     _validate_aspects(lam, phi, phis)
     if not _is_ensemble_size(M):
         raise ValueError("M must be a positive integer or inf")
     if math.isinf(phis) or math.isinf(lam):
         return None
     sol = solve_v(lam, phis, model.H)
-    return _Solved(sol, float(_tilde_c_values(np.array([sol.v]), model.G)[0]))
+    (c_tilde,), converges = _cell_step(
+        phis, np.array([sol.v]), sol.scaled_second_moment, model.G)
+    if not converges:
+        raise DivergentVarianceError(
+            f"vartheta = {phis} at or above the interpolation threshold")
+    return _Solved(sol, float(c_tilde))
 
 
 def _bias_variance(phi, phis, M, a_hat, c_tilde, model: ModelSpec):
     """Bias and variance of the M-member ensemble, elementwise over floats or
     arrays. The caller checks the self component (vartheta = phis) for
-    divergence; the cross component (vartheta = phi <= phis) then converges."""
+    divergence; the cross component (vartheta = phi <= phis) then converges.
+    Each reads vtilde = vartheta*A / (v^-2 - vartheta*A), A = int r^2 (1+vr)^-2 dH,
+    as vartheta*Ahat / (1 - vartheta*Ahat), regular at v = +inf."""
 
     def component(vartheta):
-        vt = _tilde_v_values(vartheta, a_hat)
+        vt = vartheta * a_hat / (1.0 - vartheta * a_hat)
         return model.rho2 * (1.0 + vt) * c_tilde, model.sigma2 * vt
 
     b_self, v_self = component(phis)
@@ -139,14 +152,9 @@ def _bias_variance(phi, phis, M, a_hat, c_tilde, model: ModelSpec):
     return w * b_self + (1.0 - w) * b_cross, w * v_self + (1.0 - w) * v_cross
 
 
-def _decomposition(
-    point: _Solved, phi: float, M: float, model: ModelSpec
-) -> RiskDecomposition:
+def _decomposition(point: _Solved, phi: float, M: float,
+                   model: ModelSpec) -> RiskDecomposition:
     sol = point.sol
-    if 1.0 - sol.theta * sol.scaled_second_moment <= 0.0:
-        raise DivergentVarianceError(
-            f"vartheta = {sol.theta} at or above the interpolation threshold"
-        )
     bias, variance = _bias_variance(
         phi, sol.theta, M, sol.scaled_second_moment, point.c_tilde, model)
     return RiskDecomposition(sol.lam, phi, sol.theta, M, model.sigma2, bias, variance)
@@ -179,7 +187,8 @@ def _risk_cells(
     The risk is NaN exactly where :func:`asymptotic_risk` raises
     ValueError: phis below phi, the excluded ridgeless point at aspect 1,
     a divergent variance, or any M but a positive integer or inf.
-    The fixed point is solved in blocks of at most BLOCK_CELLS cells."""
+    A cell's bits do not depend on the block that solves it, so each
+    equals :func:`asymptotic_risk`'s."""
     risk = np.full(lam.shape, np.nan)
     if not (phi > 0 and _is_ensemble_size(M)):
         return risk
@@ -187,13 +196,14 @@ def _risk_cells(
     null = valid & (np.isinf(phis) | np.isinf(lam))
     risk[null] = model.null_risk
     cells = np.flatnonzero(valid & ~null & ~((lam == 0.0) & (phis == 1.0)))
-    for start in range(0, cells.size, BLOCK_CELLS):
-        block = cells[start:start + BLOCK_CELLS]
-        lam_b, phis_b = lam[block], phis[block]
-        v, _, a_hat = _solve_block(lam_b, phis_b, model.H)
-        ok = 1.0 - phis_b * a_hat > 0.0
+    size = _block_cells(model.H)
+    for start in range(0, cells.size, size):
+        block = cells[start:start + size]
+        phis_b = phis[block]
+        v, _, a_hat = _solve_block(lam[block], phis_b, model.H)
+        c_tilde, ok = _cell_step(phis_b, v, a_hat, model.G)
         bias, variance = _bias_variance(
-            phi, phis_b[ok], M, a_hat[ok], _tilde_c_values(v[ok], model.G), model)
+            phi, phis_b[ok], M, a_hat[ok], c_tilde[ok], model)
         risk[block[ok]] = model.sigma2 + bias + variance
     return risk
 
@@ -325,11 +335,8 @@ def contour_lambda_for_phis(phi: float, phis_bar: float, H: SpectralMeasure) -> 
         raise ValueError("phis_bar must be at least phi")
     if math.isinf(phis_bar):
         return math.inf  # the null predictor
-    (v,), _, _ = _solve_block(np.zeros(1), np.array([phis_bar], dtype=float), H)
-    if math.isinf(v):
-        # Interpolating members (phis_bar < 1): equivalent penalty is zero.
-        return 0.0
-    return (phis_bar - phi) / (phis_bar * v)
+    # Interpolating members (phis_bar < 1, v = inf) give a zero penalty.
+    return (phis_bar - phi) / (phis_bar * solve_v(0.0, phis_bar, H).v)
 
 
 def equivalence_path(
@@ -420,16 +427,15 @@ def risk_surface(
     """Risk on the product grid, shaped (len(lam_grid), len(phis_grid)).
 
     Grid points outside the theory's domain are NaN rather than raising,
-    as in :func:`_risk_cells`. One call of :func:`_risk_cells`, over the
-    distinct lam values times phis_grid, solves every cell, so a repeated
-    lam repeats its row bit for bit.
+    as in :func:`_risk_cells`, whose one call solves every cell, so each
+    cell equals :func:`asymptotic_risk`'s and a repeated lam repeats its
+    row bit for bit.
     """
     lam = np.ravel(np.asarray(lam_grid, dtype=float))
     phis = np.ravel(np.asarray(phis_grid, dtype=float))
-    rows, row_of = np.unique(lam, return_inverse=True)
-    risk = _risk_cells(phi, np.repeat(rows, phis.size),
-                       np.tile(phis, rows.size), model, M)
-    return risk.reshape(rows.size, phis.size)[row_of]
+    risk = _risk_cells(phi, np.repeat(lam, phis.size),
+                       np.tile(phis, lam.size), model, M)
+    return risk.reshape(lam.size, phis.size)
 
 
 def surface_nan_reasons(

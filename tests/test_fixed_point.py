@@ -15,9 +15,10 @@ from subridge import (
 )
 import subridge.fixed_point
 from subridge.fixed_point import (
-    BLOCK_CELLS,
+    BLOCK_BUDGET,
     RESIDUAL_TOL,
     FixedPointConvergenceError,
+    _block_cells,
     _newton,
     _solve_block,
     newton_counts,
@@ -110,29 +111,42 @@ def test_residual_at_tiny_penalty_and_huge_aspect(H, lam, theta):
 
 
 def test_block_matches_scalar_solves():
-    # More cells than one block, every regime at once.
-    H = SpectralMeasure(values=np.array([0.3, 1.0, 4.0]),
-                        weights=np.array([0.2, 0.5, 0.3]))
-    lam = np.tile([0.0, 1e-9, 0.2, 3.0], 100)
-    theta = np.repeat(np.geomspace(0.1, 1e4, 100), 4)
+    # A cell's bits depend only on (lam, theta, H): every regime at once,
+    # the cells shuffled into blocks of seeded random sizes, each equal to
+    # its one-cell solve, on three atoms and on a 34-node Gauss rule. The
+    # cells at lam = 1e-300, theta = 1 have roots where F is flat to
+    # rounding.
+    rng = np.random.default_rng(27)
+    lam = np.tile([0.0, 1e-300, 1e-9, 0.2, 3.0], 100)
+    theta = np.repeat(np.geomspace(0.1, 1e4, 100), 5)
     theta[::9] = math.inf
-    v, ell, a_hat = [], [], []
-    for start in range(0, lam.size, BLOCK_CELLS):
-        block = _solve_block(lam[start:start + BLOCK_CELLS],
-                             theta[start:start + BLOCK_CELLS], H)
-        for acc, part in zip((v, ell, a_hat), block):
-            acc.extend(part)
-    for i in range(lam.size):
-        sol = solve_v(lam[i], theta[i], H)
-        np.testing.assert_allclose(
-            [v[i], ell[i], a_hat[i]], [sol.v, sol.ell, sol.scaled_second_moment],
-            rtol=1e-13, atol=0.0)
+    theta[1:50:5] = 1.0
+    for H in (SpectralMeasure(values=np.array([0.3, 1.0, 4.0]),
+                              weights=np.array([0.2, 0.5, 0.3])),
+              ar1_model(0.5, p_ref=500)[0].H):
+        order = rng.permutation(lam.size)
+        cuts = np.cumsum(rng.integers(1, 120, lam.size))
+        v, ell, a_hat = np.empty((3, lam.size))
+        for block in np.split(order, cuts[cuts < lam.size]):
+            v[block], ell[block], a_hat[block] = _solve_block(
+                lam[block], theta[block], H)
+        for i in range(lam.size):
+            sol = solve_v(lam[i], theta[i], H)
+            assert (v[i], ell[i], a_hat[i]) == (
+                sol.v, sol.ell, sol.scaled_second_moment), (lam[i], theta[i])
 
 
 def test_block_limit_enforced():
-    cells = np.ones(BLOCK_CELLS + 1)
-    with pytest.raises(ValueError):
-        _solve_block(cells, cells, ISO.H)
+    # BLOCK_BUDGET bounds cells x nodes; 128,001 = 3 x 42,667.
+    H = SpectralMeasure(values=np.array([0.3, 1.0, 4.0]),
+                        weights=np.array([0.2, 0.5, 0.3]))
+    assert BLOCK_BUDGET + 1 == 3 * 42_667
+    assert _block_cells(H) == 42_666
+    cells = np.ones(42_667)
+    with pytest.raises(ValueError, match="at most 42666 cells"):
+        _solve_block(cells, cells, H)
+    v, _, _ = _solve_block(cells[1:], cells[1:], H)
+    assert (v == solve_v(1.0, 1.0, H).v).all()
 
 
 def test_root_beyond_float_range_raises():
@@ -238,8 +252,14 @@ class TestNewtonCounts:
         return result, {key: after[key] - before[key] for key in after}
 
     def test_counts_blocks_cells_and_steps(self):
-        (_, steps), counts = self.delta(self.lam, self.theta, self.H)
-        assert counts == {"blocks": 1, "cells": 4, "cell_steps": steps}
+        # Each cell takes the steps it takes alone, so the block's
+        # cell-steps are the sum of its cells'.
+        _, counts = self.delta(self.lam, self.theta, self.H)
+        alone = [self.delta(self.lam[i:i + 1], self.theta[i:i + 1], self.H)[1]
+                 for i in range(self.lam.size)]
+        assert counts == {"blocks": 1, "cells": 4,
+                          "cell_steps": sum(c["cell_steps"] for c in alone)}
+        assert all(c["cell_steps"] >= 2 for c in alone)
 
     def test_failed_solve_still_counts(self, monkeypatch):
         monkeypatch.setattr(subridge.fixed_point, "MAX_ITER", 1)

@@ -20,8 +20,9 @@ from subridge import (
     surface_nan_reasons,
     training_error_limit,
 )
+import subridge.fixed_point
 from subridge.fixed_point import (
-    BLOCK_CELLS,
+    BLOCK_BUDGET,
     DivergentVarianceError,
     newton_counts,
 )
@@ -295,7 +296,8 @@ class TestOptimizers:
 
 
 def test_optimizers_and_path_make_no_scalar_solves(monkeypatch):
-    import subridge.fixed_point
+    # The segment's cells are one block; only its end lam_bar, the
+    # ridgeless cell at phis_bar, is a scalar solve.
     import subridge.risk
 
     calls = []
@@ -308,8 +310,9 @@ def test_optimizers_and_path_make_no_scalar_solves(monkeypatch):
     monkeypatch.setattr(subridge.risk, "solve_v", counting)
     optimal_subsample(0.0, 0.3, AR1)
     optimal_lambda(0.3, 0.3, AR1)
-    equivalence_path(0.3, 3.0, AR1)
     assert calls == []
+    equivalence_path(0.3, 3.0, AR1)
+    assert calls == [(0.0, 3.0, AR1.H)]
 
 
 def test_risk_surface_marks_invalid_cells():
@@ -323,10 +326,13 @@ def test_risk_surface_marks_invalid_cells():
 
 
 @pytest.mark.parametrize("M", [1, 2, 7, math.inf])
-def test_risk_surface_matches_scalar_risk_cell_by_cell(M):
-    # 6 x 50 = 300 cells: more than one solver block. The grid holds
+def test_risk_surface_matches_scalar_risk_cell_by_cell(monkeypatch, M):
+    # 6 x 50 = 300 cells in blocks of 7, which cut across lam rows; each
+    # cell still equals its scalar risk bit for bit. The grid holds
     # phis < phi, the excluded (0, 1) cell, interpolating ridgeless cells
     # (lam = 0, phis < 1), phis > 1 and the null limits lam, phis = inf.
+    monkeypatch.setattr(subridge.fixed_point, "BLOCK_BUDGET",
+                        7 * AR1.H._rule[0].size)
     phi = 0.3
     lam_grid = np.array([0.0, 1e-6, 0.05, 0.7, 4.0, math.inf])
     phis_grid = np.concatenate(([0.1, 0.2, 1.0, math.inf],
@@ -340,7 +346,7 @@ def test_risk_surface_matches_scalar_risk_cell_by_cell(M):
             except ValueError:
                 assert np.isnan(surface[i, j]), (lam, phis)
                 continue
-            assert surface[i, j] == pytest.approx(want, rel=1e-12, abs=0.0), (lam, phis)
+            assert surface[i, j] == want, (lam, phis)
     assert np.isnan(surface[0, 0]) and np.isnan(surface[0, 2])
     assert np.isnan(surface).sum() == lam_grid.size * 2 + 1
 
@@ -456,13 +462,13 @@ def test_ensemble_size_must_be_a_positive_integer_or_inf(M):
 @pytest.mark.parametrize("M", [1, 2, math.inf])
 def test_surface_matches_scalar_risk_cell_by_cell(M):
     # Unsorted lam with duplicates and NaNs, lam = 0 next to interpolating
-    # cells (phis < 1), and a phis grid longer than one solver block, so
-    # blocks cut across lam rows.
+    # cells (phis < 1), and 14 x 301 cells, more than one solver block
+    # (3,764 cells on this 34-node rule), so a block cuts across a lam row.
     phi = 0.3
     lam_grid = np.array([0.7, 0.0, 0.05, 0.7, 4.0, 1e-6, 0.05, math.inf,
                          np.nan, 1e-3, 0.2, 1e-4, np.nan, 0.01])
     phis_grid = np.concatenate(([0.1, 0.5, 0.8, 1.0, math.inf],
-                                np.geomspace(phi, 30.0, BLOCK_CELLS + 40)))
+                                np.geomspace(phi, 30.0, 296)))
     surface = risk_surface(phi, lam_grid, phis_grid, AR1, M=M)
     for i, lam in enumerate(lam_grid):
         for j, phis in enumerate(phis_grid):
@@ -471,7 +477,7 @@ def test_surface_matches_scalar_risk_cell_by_cell(M):
             except ValueError:
                 assert np.isnan(surface[i, j]), (lam, phis)
                 continue
-            assert surface[i, j] == pytest.approx(want, rel=1e-12, abs=0.0), (lam, phis)
+            assert surface[i, j] == want, (lam, phis)
     # The NaN rows, phis = 0.1 < phi in every other row, and the excluded
     # cell at lam = 0.
     assert np.isnan(surface).sum() == 2 * phis_grid.size + lam_grid.size - 2 + 1
@@ -481,8 +487,9 @@ def test_surface_matches_scalar_risk_cell_by_cell(M):
 def test_surface_nan_reasons_count_each_reason():
     # phis = 0.25 lies below phi = 0.5, (0, 1) is the excluded boundary,
     # and at (1e-300, 1) v ~ 1.8e16 makes Ahat round to 1, so the self
-    # variance's denominator 1 - phis * Ahat is 0. One atom keeps every
-    # integral a single product, so the rounding is the same everywhere.
+    # variance's denominator 1 - phis * Ahat is 0. A cell's bits depend
+    # only on (lam, phis, model), so the surface is NaN there exactly
+    # because asymptotic_risk raises there.
     lam, phis = np.linspace(0.0, 1e-300, 2), np.linspace(0.25, 1.0, 4)
     surface = risk_surface(0.5, lam, phis, ISO)
     assert surface_nan_reasons(0.5, lam, phis, surface) == {
@@ -490,6 +497,22 @@ def test_surface_nan_reasons_count_each_reason():
     with pytest.raises(DivergentVarianceError):
         asymptotic_risk(1e-300, 0.5, 1.0, ISO)
     assert np.isfinite(surface[:, 1:3]).all()
+
+
+def test_surface_cell_next_to_the_excluded_point_is_its_scalar_risk():
+    # At (1e-300, 1) the root is ~1e16, where F is flat to rounding and
+    # 1 - phis * Ahat sits at a few ulps, so a block that rounds a row
+    # unlike a one-cell solve turns the cell NaN on one path only.
+    model, _, _ = ar1_model(0.5, p_ref=20)
+    lam, phis = [0.0, 1e-300], [0.25, 0.5, 0.75, 1.0]
+    surface = risk_surface(0.5, lam, phis, model)
+    for i, j in np.ndindex(surface.shape):
+        try:
+            want = asymptotic_risk(lam[i], 0.5, phis[j], model).risk
+        except ValueError:
+            assert np.isnan(surface[i, j]), (lam[i], phis[j])
+            continue
+        assert surface[i, j] == want, (lam[i], phis[j])
 
 
 def fresh_model(model):
@@ -527,22 +550,24 @@ def test_ridgeless_single_member_gcv_limit_keeps_the_recorded_zero():
 
 def test_benchmark_surfaces_take_few_newton_steps():
     # The benchmark's three theory-surface grids: 24,300 cells, of which
-    # 24,284 are solved by Newton from 0 in blocks of BLOCK_CELLS. Each
+    # 24,284 are solved by Newton from 0 in blocks of at most
+    # BLOCK_BUDGET // nodes cells (3,764 on the 34-node rule). Each
     # surface is one call, so its Python-level Newton calls are
-    # ceil(cells / BLOCK_CELLS). Cold solves took 155,476 to 155,582
-    # cell-steps under one and two BLAS threads.
+    # ceil(cells / (BLOCK_BUDGET // nodes)). Cold solves took 155,476 to
+    # 155,582 cell-steps under one and two BLAS threads.
     model, _, _ = ar1_model(0.5, p_ref=500)
+    per_block = BLOCK_BUDGET // model.H._rule[0].size
     before = newton_counts()
     blocks = 0
     for phi in (0.1, 0.5, 1.5):
         start = newton_counts()["cells"]
         risk_surface(phi, np.linspace(0.0, 2.0, 81), np.linspace(phi, 10.0, 100),
                      model)
-        blocks += -(-(newton_counts()["cells"] - start) // BLOCK_CELLS)
+        blocks += -(-(newton_counts()["cells"] - start) // per_block)
     after = newton_counts()
     counts = {key: after[key] - before[key] for key in after}
     assert counts["cells"] == 24_284
-    assert counts["blocks"] == blocks == 96
+    assert counts["blocks"] == blocks == 9
     assert counts["cell_steps"] <= 160_000
 
 
