@@ -553,8 +553,8 @@ def test_benchmark_surfaces_take_few_newton_steps():
     # 24,284 are solved by Newton from 0 in blocks of at most
     # BLOCK_BUDGET // nodes cells (3,764 on the 34-node rule). Each
     # surface is one call, so its Python-level Newton calls are
-    # ceil(cells / (BLOCK_BUDGET // nodes)). Cold solves took 155,476 to
-    # 155,582 cell-steps under one and two BLAS threads.
+    # ceil(cells / (BLOCK_BUDGET // nodes)). Cold solves take 156,027 and
+    # 155,997 cell-steps under one and two BLAS threads (H's eigh differs).
     model, _, _ = ar1_model(0.5, p_ref=500)
     per_block = BLOCK_BUDGET // model.H._rule[0].size
     before = newton_counts()
