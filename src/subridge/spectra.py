@@ -95,7 +95,7 @@ def _gauss_rule(values: np.ndarray,
     error of an n-node Gauss rule falls like rho0^(-2n), with
     rho0 = (sqrt(b) + sqrt(a)) / (sqrt(b) - sqrt(a)) the Bernstein ellipse
     through 0. n = ceil(30 ln 2 / ln rho0) + 4 puts that bound at 2^-60,
-    below rounding. A measure with one distinct atom (the isotropic model,
+    below rounding; rho0 = inf, where sqrt(b) rounds to sqrt(a), gives 4. A measure with one distinct atom (the isotropic model,
     AR(1) at rho = 0) is one node carrying the exact sum (math.fsum) of the
     weights, and any other measure with at most n atoms is returned as it
     is. Otherwise repeated atoms are merged, with their weights summed
@@ -114,7 +114,10 @@ def _gauss_rule(values: np.ndarray,
     b, a = values[0], values[-1]
     if a == b:
         return values[:1], np.array([math.fsum(weights)])
-    rho0 = (math.sqrt(b) + math.sqrt(a)) / (math.sqrt(b) - math.sqrt(a))
+    root_b, root_a = math.sqrt(b), math.sqrt(a)
+    # Atoms an ulp apart can have equal square roots: no ellipse bounds the
+    # error then, and rho0 = inf asks for the fewest nodes.
+    rho0 = (root_b + root_a) / (root_b - root_a) if root_b > root_a else math.inf
     n = math.ceil(30.0 * math.log(2.0) / math.log(rho0)) + 4
     if values.size <= n:
         return values, weights

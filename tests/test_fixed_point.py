@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subridge import (
@@ -90,6 +90,8 @@ def test_fixed_point_residual(H, lam, theta):
 
 @settings(max_examples=40, deadline=None)
 @given(measures, st.floats(1e-3, 5.0), st.floats(0.1, 10.0))
+# Atoms whose square roots round equal.
+@example(random_measure([0.1, np.nextafter(0.1, 1.0)], [1.0, 1.0]), 1.0, 1.0)
 def test_v_decreasing_in_penalty_and_aspect(H, lam, theta):
     v = solve_v(lam, theta, H).v
     assert solve_v(lam * 1.5, theta, H).v < v

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -225,6 +226,16 @@ def test_rule_of_repeated_atoms_is_the_distinct_atoms(atoms, distinct, mass):
     nodes, weights = H._rule
     assert list(nodes) == distinct
     np.testing.assert_allclose(weights, mass, rtol=1e-14, atol=0.0)
+
+
+def test_rule_of_atoms_whose_square_roots_round_equal():
+    # 0.1 and the next float up have one square root; the rule is the atoms.
+    values = np.array([np.nextafter(0.1, 1.0), 0.1])
+    assert math.sqrt(values[0]) == math.sqrt(values[1])
+    H = SpectralMeasure(values=values, weights=np.array([0.5, 0.5]))
+    nodes, weights = H._rule
+    assert nodes.tobytes() == H.values.tobytes()
+    assert weights.tobytes() == H.weights.tobytes()
 
 
 def test_rule_stops_lanczos_when_atoms_cluster_to_rounding():
