@@ -115,6 +115,18 @@ def _manifest(out_dir: Path, command: str, config: dict, seed, outputs, started,
     _write_json(out_dir / f"{command.replace('-', '_')}_manifest.json", payload)
 
 
+def _fit_info(result) -> dict:
+    """The worker processes, their BLAS threads and the member solves by
+    path (count, and seconds to the millisecond) of a sim or tune run."""
+    return {
+        "workers": result.workers,
+        "blas_threads_per_worker": result.blas_threads_per_worker,
+        "solve_counts": result.solve_counts,
+        "solve_seconds": {key: round(s, 3)
+                          for key, s in result.solve_seconds.items()},
+    }
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """Parse `lo:hi:count` (inclusive linear grid with finite ends) or a
     single number, which may be `inf`; NaN is rejected either way."""
@@ -263,16 +275,12 @@ def cmd_sim(args) -> int:
     _write_csv(agg_path, AGG_COLUMNS,
                ([row[c] for c in AGG_COLUMNS] for row in result.aggregate()))
     _manifest(out, "sim", items, config.master_seed, [tidy_path, agg_path], started,
-              workers=result.workers,
-              blas_threads_per_worker=result.blas_threads_per_worker,
+              **_fit_info(result),
               replicate_seconds=[
                   {"rep": t["rep"], "fit_s": round(t["fit_s"], 3),
                    "score_s": round(t["score_s"], 3)}
                   for t in result.replicate_seconds
-              ],
-              solve_counts=result.solve_counts,
-              solve_seconds={key: round(s, 3)
-                             for key, s in result.solve_seconds.items()})
+              ])
     return 0
 
 
@@ -415,15 +423,11 @@ def cmd_tune(args) -> int:
         "M": args.M, "nu": args.nu, "holdout": args.holdout,
     }
     _manifest(out, "tune", config, args.seed, [result_path, path_path], started,
-              workers=result.workers,
-              blas_threads_per_worker=result.blas_threads_per_worker,
+              **_fit_info(result),
               grid_seconds=[
                   {"k": k, "fit_s": round(seconds, 3)}
                   for (k, _), seconds in zip(result.path, result.fit_seconds)
               ],
-              solve_counts=result.solve_counts,
-              solve_seconds={key: round(s, 3)
-                             for key, s in result.solve_seconds.items()},
               baseline_solve_counts=baseline_counts)
     print(f"k_hat = {result.k_hat}, holdout MSE = {holdout_mse:.6g}"
           + (f", baseline MSE = {baseline_mse:.6g}" if baseline_mse is not None

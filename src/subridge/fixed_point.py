@@ -12,9 +12,9 @@ H here reads its Gauss rule (``H._rule``, see ``spectra._gauss_rule``),
 which matches the atom sums to rounding with fewer nodes.
 
 One Newton core solves a block of (lam, theta) cells at once, started at
-x = 0; the scalar :func:`solve_v` runs it on a one-cell block and remembers
-the result on the measure. Its sums over nodes run in numpy's einsum loop,
-which rounds a row alike in any block, so a cell depends only on (lam, theta, H).
+x = 0; the scalar :func:`solve_v` runs it on a one-cell block. Its sums
+over nodes run in numpy's einsum loop, which rounds a row alike in any
+block, so a cell depends only on (lam, theta, H).
 :func:`newton_counts` reports the core's work in the process.
 """
 
@@ -42,8 +42,6 @@ MAX_ITER = 200
 # spectrum that does not compress (500 nodes) adds ~144 MB of peak memory,
 # while blocks of 256 such cells add none measurable.
 BLOCK_BUDGET = 256 * 500
-# One-cell results solve_v keeps per measure; the oldest is dropped first.
-SOLVE_MEMO_SIZE = 1024
 
 
 class ExcludedBoundaryError(ValueError):
@@ -193,25 +191,11 @@ def solve_v(lam: float, theta: float, H: SpectralMeasure) -> FixedPointSolution:
     Handles the boundary regimes: theta = +inf gives v = 0; lam = 0 with
     theta < 1 gives v = +inf with ell = 1 - theta; lam = 0 with theta = 1
     is excluded.
-
-    The result is remembered on H (the last SOLVE_MEMO_SIZE cells), keyed
-    by the bytes of (lam, theta) as the solver reads them, so a repeated
-    call returns what a fresh solve returns, bit for bit. A call that
-    raises is not remembered.
     """
-    lam_a = np.array([lam], dtype=float)
-    theta_a = np.array([theta], dtype=float)
-    key = lam_a.tobytes() + theta_a.tobytes()
-    memo = H._solves
-    values = memo.get(key)
-    if values is None:
-        v, ell, a_hat = _solve_block(lam_a, theta_a, H)
-        values = float(v[0]), float(ell[0]), float(a_hat[0])
-        if len(memo) >= SOLVE_MEMO_SIZE:
-            memo.pop(next(iter(memo)), None)
-        memo[key] = values
-    v, ell, a_hat = values
-    return FixedPointSolution(lam, theta, v=v, ell=ell, scaled_second_moment=a_hat)
+    v, ell, a_hat = _solve_block(np.array([lam], dtype=float),
+                                 np.array([theta], dtype=float), H)
+    return FixedPointSolution(lam, theta, v=float(v[0]), ell=float(ell[0]),
+                              scaled_second_moment=float(a_hat[0]))
 
 
 def _tilde_c_values(v: np.ndarray, G: SpectralMeasure) -> np.ndarray:

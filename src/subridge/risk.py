@@ -11,21 +11,23 @@ risk, the deterministic limits of the ensemble training error and of the
 generalized cross-validation (GCV) statistic, the penalty/subsample
 equivalence contour, and one-dimensional optimizers over the penalty and the
 subsample aspect ratio. The scalar limits share one prologue, under which
-every limit of the null predictor (lam = inf or phis = inf) is its risk, and
-one GCV formula serves every M, inf included. The risk surface, the
-optimizers and the equivalence segment share one evaluator, `_risk_cells`.
+every limit of the null predictor (lam = inf or phis = inf) is its risk and
+every other cell is solved once per process (the last SOLVE_MEMO_SIZE cells
+are kept), and one GCV formula serves every M, inf included. The risk
+surface, the optimizers and the equivalence segment share one evaluator,
+`_risk_cells`, which keeps nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .fixed_point import (
     DivergentVarianceError,
-    FixedPointSolution,
     _block_cells,
     _solve_block,
     _tilde_c_values,
@@ -54,6 +56,9 @@ __all__ = [
 # _ZOOM_POINTS cells per step until it is under _XTOL relative.
 _ZOOM_POINTS = 17
 _XTOL = 1e-10
+# Solved cells the scalar limits keep per process; the least recently used
+# is dropped first.
+SOLVE_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -98,14 +103,19 @@ def _validate_aspects(lam: float, phi: float, phis: float) -> None:
 
 @dataclass(frozen=True)
 class _Solved:
-    """One solved (lam, phis) cell: its fixed point and bias constant c~."""
+    """One solved (lam, phis) cell, as its caller gave it: ell = lam * v,
+    the scaled second moment Ahat and the bias constant c~."""
 
-    sol: FixedPointSolution
+    lam: float
+    phis: float
+    ell: float
+    a_hat: float
     c_tilde: float
 
 
-def _is_ensemble_size(M: float) -> bool:
-    return M >= 1 and (M == math.inf or M == int(M))
+def _check_ensemble_size(M: float) -> None:
+    if not (M >= 1 and (M == math.inf or M == int(M))):
+        raise ValueError("M must be a positive integer or inf")
 
 
 def _cell_step(phis, v, a_hat, G: SpectralMeasure):
@@ -114,23 +124,32 @@ def _cell_step(phis, v, a_hat, G: SpectralMeasure):
     return _tilde_c_values(v, G), 1.0 - phis * a_hat > 0.0
 
 
-def _solve_cell(lam, phi, phis, model: ModelSpec, M) -> _Solved | None:
-    """The prologue of every scalar limit: check (lam, phi, phis) and M, then
-    solve the cell once, raising DivergentVarianceError where its variance
-    diverges. None stands for the null predictor (lam = inf or phis = inf),
-    which fits nothing: every limit of it is its risk."""
-    _validate_aspects(lam, phi, phis)
-    if not _is_ensemble_size(M):
-        raise ValueError("M must be a positive integer or inf")
-    if math.isinf(phis) or math.isinf(lam):
-        return None
-    sol = solve_v(lam, phis, model.H)
+@lru_cache(maxsize=SOLVE_MEMO_SIZE)
+def _solved_cell(lam: float, phis: float, H: SpectralMeasure,
+                 G: SpectralMeasure) -> tuple[float, float, float]:
+    """(ell, Ahat, c~) of one regular cell, raising DivergentVarianceError
+    where its variance diverges. A cell that raises is not remembered."""
+    sol = solve_v(lam, phis, H)
     (c_tilde,), converges = _cell_step(
-        phis, np.array([sol.v]), sol.scaled_second_moment, model.G)
+        phis, np.array([sol.v]), sol.scaled_second_moment, G)
     if not converges:
         raise DivergentVarianceError(
             f"vartheta = {phis} at or above the interpolation threshold")
-    return _Solved(sol, float(c_tilde))
+    return sol.ell, sol.scaled_second_moment, float(c_tilde)
+
+
+def _solve_cell(lam, phi, phis, model: ModelSpec, M) -> _Solved | None:
+    """The prologue of every scalar limit: check (lam, phi, phis) and M, then
+    read the solved cell from `_solved_cell`, which measures key by
+    identity. None stands for the null predictor (lam = inf or phis = inf),
+    which fits nothing: every limit of it is its risk."""
+    _validate_aspects(lam, phi, phis)
+    _check_ensemble_size(M)
+    if math.isinf(phis) or math.isinf(lam):
+        return None
+    # One entry, with ell = +0.0, for lam = 0, 0.0 and -0.0.
+    return _Solved(lam, phis,
+                   *_solved_cell(float(lam) + 0.0, phis, model.H, model.G))
 
 
 def _bias_variance(phi, phis, M, a_hat, c_tilde, model: ModelSpec):
@@ -154,10 +173,10 @@ def _bias_variance(phi, phis, M, a_hat, c_tilde, model: ModelSpec):
 
 def _decomposition(point: _Solved, phi: float, M: float,
                    model: ModelSpec) -> RiskDecomposition:
-    sol = point.sol
     bias, variance = _bias_variance(
-        phi, sol.theta, M, sol.scaled_second_moment, point.c_tilde, model)
-    return RiskDecomposition(sol.lam, phi, sol.theta, M, model.sigma2, bias, variance)
+        phi, point.phis, M, point.a_hat, point.c_tilde, model)
+    return RiskDecomposition(point.lam, phi, point.phis, M, model.sigma2,
+                             bias, variance)
 
 
 def asymptotic_risk(
@@ -182,16 +201,13 @@ def _risk_cells(
     phi: float, lam: np.ndarray, phis: np.ndarray, model: ModelSpec,
     M: float = math.inf,
 ) -> np.ndarray:
-    """Risk per (lam, phis) cell of two 1-d arrays.
+    """Risk per (lam, phis) cell of two 1-d arrays, for a valid phi and M.
 
     The risk is NaN exactly where :func:`asymptotic_risk` raises
-    ValueError: phis below phi, the excluded ridgeless point at aspect 1,
-    a divergent variance, or any M but a positive integer or inf.
-    A cell's bits do not depend on the block that solves it, so each
-    equals :func:`asymptotic_risk`'s."""
+    ValueError: phis below phi, lam negative, the excluded ridgeless point
+    at aspect 1, or a divergent variance. A cell's bits do not depend on
+    the block that solves it, so each equals :func:`asymptotic_risk`'s."""
     risk = np.full(lam.shape, np.nan)
-    if not (phi > 0 and _is_ensemble_size(M)):
-        return risk
     valid = (phis >= phi) & (lam >= 0.0)
     null = valid & (np.isinf(phis) | np.isinf(lam))
     risk[null] = model.null_risk
@@ -242,12 +258,12 @@ def _training_error(point: _Solved, phi: float, M: float, model: ModelSpec) -> f
     as written, not as 1 minus the other, so the error, ~q^2 R_inf near
     phis = phi, keeps its digits.
     """
-    ell = point.sol.ell
+    ell = point.ell
     r1 = _decomposition(point, phi, 1, model).risk
     t1 = ell * ell * r1
     if M == 1:
         return t1
-    x = phi / point.sol.theta
+    x = phi / point.phis
     rinf = _decomposition(point, phi, math.inf, model).risk
     d = 2.0 - x
     on_r1 = 0.5 * ((1.0 - x) + ell * ell) / d  # the two-member weights
@@ -302,7 +318,7 @@ def gcv_limit_finite_M(
     point = _solve_cell(lam, phi, phis, model, M)
     if point is None:
         return model.null_risk
-    denominator = _gcv_denominator(point.sol.ell, phi / phis, M)
+    denominator = _gcv_denominator(point.ell, phi / phis, M)
     if denominator == 0.0:
         # Only possible when ell = 0 and the union is a single subsample
         # (M = 1 or phis = phi); the ell^2 factor then cancels exactly
@@ -426,11 +442,14 @@ def risk_surface(
 ) -> np.ndarray:
     """Risk on the product grid, shaped (len(lam_grid), len(phis_grid)).
 
-    Grid points outside the theory's domain are NaN rather than raising,
-    as in :func:`_risk_cells`, whose one call solves every cell, so each
-    cell equals :func:`asymptotic_risk`'s and a repeated lam repeats its
-    row bit for bit.
+    A phi or an M that every cell would reject raises the scalar limits'
+    ValueError. Other grid points outside the theory's domain are NaN
+    rather than raising, as in :func:`_risk_cells`, whose one call solves
+    every cell, so each cell equals :func:`asymptotic_risk`'s and a
+    repeated lam repeats its row bit for bit.
     """
+    _check_phi(phi)
+    _check_ensemble_size(M)
     lam = np.ravel(np.asarray(lam_grid, dtype=float))
     phis = np.ravel(np.asarray(phis_grid, dtype=float))
     risk = _risk_cells(phi, np.repeat(lam, phis.size),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -33,19 +33,16 @@ class NullSignalError(ValueError):
     """Signal vector is identically zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     """Finite discrete probability measure on (0, inf).
 
     Atoms are stored sorted by descending eigenvalue. Weights must sum to 1.
+    A measure hashes and compares by identity, so it can key a cache.
     """
 
     values: np.ndarray
     weights: np.ndarray
-    # Memo of fixed_point.solve_v's one-cell results on this measure. It
-    # lives and dies with the instance, so no key can outlive its measure.
-    _solves: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -95,12 +92,10 @@ def _gauss_rule(values: np.ndarray,
     error of an n-node Gauss rule falls like rho0^(-2n), with
     rho0 = (sqrt(b) + sqrt(a)) / (sqrt(b) - sqrt(a)) the Bernstein ellipse
     through 0. n = ceil(30 ln 2 / ln rho0) + 4 puts that bound at 2^-60,
-    below rounding; rho0 = inf, where sqrt(b) rounds to sqrt(a), gives 4. A measure with one distinct atom (the isotropic model,
-    AR(1) at rho = 0) is one node carrying the exact sum (math.fsum) of the
-    weights, and any other measure with at most n atoms is returned as it
-    is. Otherwise repeated atoms are merged, with their weights summed
-    exactly, and a measure with at most n distinct atoms is returned as
-    those.
+    below rounding; rho0 = inf, where sqrt(b) rounds to sqrt(a), gives 4.
+    Repeated atoms are merged first, with their weights summed exactly
+    (math.fsum), and a measure with at most n distinct atoms is returned as
+    those: one node for the isotropic model and AR(1) at rho = 0.
 
     Beyond n distinct atoms, Lanczos on their diagonal matrix from the
     square roots of their weights, with full reorthogonalization, builds
@@ -112,21 +107,17 @@ def _gauss_rule(values: np.ndarray,
     the rule's bytes do not depend on the BLAS thread count.
     """
     b, a = values[0], values[-1]
-    if a == b:
-        return values[:1], np.array([math.fsum(weights)])
     root_b, root_a = math.sqrt(b), math.sqrt(a)
     # Atoms an ulp apart can have equal square roots: no ellipse bounds the
     # error then, and rho0 = inf asks for the fewest nodes.
     rho0 = (root_b + root_a) / (root_b - root_a) if root_b > root_a else math.inf
     n = math.ceil(30.0 * math.log(2.0) / math.log(rho0)) + 4
-    if values.size <= n:
-        return values, weights
     starts = np.flatnonzero(np.diff(values, prepend=math.inf))
     distinct, mass = values[starts], weights
     if distinct.size < values.size:
         mass = np.array([math.fsum(part) for part in np.split(weights, starts[1:])])
-        if distinct.size <= n:
-            return distinct, mass
+    if distinct.size <= n:
+        return distinct, mass
 
     basis = np.empty((n, distinct.size))
     alpha, beta = np.empty(n), np.empty(n)

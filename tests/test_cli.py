@@ -747,6 +747,7 @@ USAGE_ERRORS = [
     ("theory-surface", ["--sigma2", "nan"],
      "rho2 and sigma2 must be finite and nonnegative"),
     ("theory-surface", ["--phi", "inf"], "phi must be positive and finite"),
+    ("theory-surface", ["--phi", 0], "phi must be positive and finite"),
 ]
 
 

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from subridge import (
     ExcludedBoundaryError,
+    ModelSpec,
     SpectralMeasure,
     ar1_model,
+    asymptotic_risk,
+    gcv_limit_finite_M,
     isotropic_model,
     solve_v,
 )
@@ -17,12 +20,14 @@ import subridge.fixed_point
 from subridge.fixed_point import (
     BLOCK_BUDGET,
     RESIDUAL_TOL,
+    DivergentVarianceError,
     FixedPointConvergenceError,
     _block_cells,
     _newton,
     _solve_block,
     newton_counts,
 )
+from subridge.risk import SOLVE_MEMO_SIZE, _solved_cell
 
 ISO = isotropic_model(1.0, 1.0)
 
@@ -163,8 +168,9 @@ def test_non_finite_penalty_rejected():
             solve_v(lam, 2.0, ISO.H)
 
 
-# Every regime: interpolating (v = inf), ridgeless theta > 1, ridge on both
-# sides of aspect 1, theta = inf (v = 0), and a negative zero penalty.
+# Every regime: interpolating (v = inf), ridgeless phis > 1, ridge on both
+# sides of aspect 1, the null predictor (phis = inf, never solved), and a
+# zero penalty given as 0.0, -0.0 and 0: seven cells, five of them solved.
 MEMO_CELLS = [(0.0, 0.5), (0.0, 2.0), (0.1, 0.5), (0.1, 3.0), (1.0, math.inf),
               (-0.0, 2.0), (0, 2), (1e-9, 1.0)]
 
@@ -174,49 +180,77 @@ def copy_measure(H):
 
 
 class TestSolveMemo:
+    """The scalar limits remember each solved cell in `risk._solved_cell`,
+    keyed by (lam, phis, H, G); solve_v, which it calls on a miss, keeps
+    no state."""
+
     H = SpectralMeasure(values=np.array([0.3, 1.0, 4.0]),
                         weights=np.array([0.2, 0.5, 0.3]))
 
+    def model(self):
+        """A model on new measures, so no cell of it is remembered yet."""
+        return ModelSpec(H=copy_measure(self.H), G=copy_measure(self.H),
+                         rho2=1.0, sigma2=1.0)
+
     def test_warm_memo_equals_a_fresh_solve(self):
-        warm = copy_measure(self.H)
-        for lam, theta in MEMO_CELLS:
-            solve_v(lam, theta, warm)
-        assert len(warm._solves) == len(MEMO_CELLS) - 1  # 0 and 0.0 share
-        for lam, theta in MEMO_CELLS:
-            hit = solve_v(lam, theta, warm)
-            fresh = solve_v(lam, theta, copy_measure(self.H))
-            for field in dataclasses.fields(fresh):
-                got, want = getattr(hit, field.name), getattr(fresh, field.name)
-                assert got == want, (lam, theta, field.name)
-                assert type(got) is type(want)
-                assert math.copysign(1.0, got) == math.copysign(1.0, want)
-        assert len(warm._solves) == len(MEMO_CELLS) - 1
+        _solved_cell.cache_clear()
+        warm = self.model()
+        for lam, phis in MEMO_CELLS:
+            asymptotic_risk(lam, 0.5, phis, warm)
+        assert _solved_cell.cache_info().currsize == 5
+        for lam, phis in MEMO_CELLS:
+            for M in (1, 2, math.inf):
+                misses = _solved_cell.cache_info().misses
+                hit = asymptotic_risk(lam, 0.5, phis, warm, M=M)
+                gcv = gcv_limit_finite_M(lam, 0.5, phis, warm, M)
+                assert _solved_cell.cache_info().misses == misses
+                fresh = asymptotic_risk(lam, 0.5, phis, self.model(), M=M)
+                for field in dataclasses.fields(fresh):
+                    got, want = getattr(hit, field.name), getattr(fresh, field.name)
+                    assert got == want, (lam, phis, M, field.name)
+                    assert type(got) is type(want)
+                    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+                want = gcv_limit_finite_M(lam, 0.5, phis, self.model(), M)
+                assert gcv.hex() == want.hex(), (lam, phis, M)
 
     def test_excluded_boundary_raises_on_every_call(self):
-        H = copy_measure(self.H)
+        # Neither an excluded cell nor a divergent one (Ahat rounds to 1,
+        # see test_surface_nan_reasons_count_each_reason) is remembered.
+        _solved_cell.cache_clear()
+        model = self.model()
         for _ in range(3):
             with pytest.raises(ExcludedBoundaryError):
-                solve_v(0.0, 1.0, H)
-        assert H._solves == {}
+                asymptotic_risk(0.0, 0.5, 1.0, model)
+            with pytest.raises(DivergentVarianceError):
+                asymptotic_risk(1e-300, 0.5, 1.0, ISO)
+        info = _solved_cell.cache_info()
+        assert (info.misses, info.currsize) == (6, 0)
 
-    def test_memo_size_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(subridge.fixed_point, "SOLVE_MEMO_SIZE", 8)
-        H = copy_measure(self.H)
-        thetas = np.geomspace(0.2, 20.0, 30)
-        for theta in thetas:
-            solve_v(0.1, float(theta), H)
-            assert len(H._solves) <= 8
-        assert len(H._solves) == 8
-        # The oldest cells were dropped; a dropped cell solves again.
-        first = solve_v(0.1, float(thetas[0]), H)
-        assert first == solve_v(0.1, float(thetas[0]), copy_measure(self.H))
-        assert len(H._solves) == 8
+    def test_memo_size_is_bounded(self):
+        assert _solved_cell.cache_info().maxsize == SOLVE_MEMO_SIZE == 1024
 
     def test_memo_is_per_measure(self):
-        H1, H2 = copy_measure(self.H), copy_measure(self.H)
-        solve_v(0.1, 3.0, H1)
-        assert len(H1._solves) == 1 and H2._solves == {}
-        assert repr(H1) == repr(H2)  # the memo is not part of the value
+        # Equal atoms on two measures share no entry; models that differ
+        # only in sigma2 share their measures' entries.
+        _solved_cell.cache_clear()
+        m1, m2 = self.model(), self.model()
+        assert repr(m1.H) == repr(m2.H) and m1.H != m2.H
+        asymptotic_risk(0.1, 0.5, 3.0, m1)
+        asymptotic_risk(0.1, 0.5, 3.0, m2)
+        asymptotic_risk(0.1, 0.5, 3.0, dataclasses.replace(m1, sigma2=4.0))
+        info = _solved_cell.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_solve_v_keeps_no_state():
+    # Each call runs the Newton core, and the measure holds only its atoms
+    # and its Gauss rule.
+    H = copy_measure(TestSolveMemo.H)
+    before = newton_counts()
+    first, second = solve_v(0.1, 3.0, H), solve_v(0.1, 3.0, H)
+    assert first == second
+    assert newton_counts()["blocks"] - before["blocks"] == 2
+    assert sorted(vars(H)) == ["_rule", "values", "weights"]
 
 
 class TestNewtonFailures:

@@ -8,6 +8,7 @@ import pytest
 
 from subridge import spectra
 from subridge import (
+    ModelSpec,
     NullSignalError,
     SpectralMeasure,
     ar1_covariance,
@@ -27,6 +28,20 @@ def test_values_sorted_descending():
                         weights=np.array([0.2, 0.5, 0.3]))
     assert list(m.values) == [3.0, 2.0, 1.0]
     assert (m.values.min(), m.values.max()) == (1.0, 3.0)
+
+
+def test_measures_and_models_compare_and_hash_by_identity():
+    # Equal atoms print alike but make two measures, so a measure can key a
+    # cache; a model compares its measures by identity and its numbers.
+    a, b = (SpectralMeasure(values=np.array([1.0, 2.0]),
+                            weights=np.array([0.5, 0.5])) for _ in range(2))
+    assert a == a and a != b and repr(a) == repr(b)
+    assert len({a, b, a}) == 2
+    model = ModelSpec(H=a, G=a, rho2=1.0, sigma2=1.0)
+    twin = ModelSpec(H=a, G=a, rho2=1.0, sigma2=1.0)
+    assert model == twin and hash(model) == hash(twin)
+    assert model != ModelSpec(H=b, G=a, rho2=1.0, sigma2=1.0)
+    assert ar1_model(0.5, p_ref=20)[0] == ar1_model(0.5, p_ref=20)[0]
 
 
 def test_integrate_and_mean():
@@ -219,6 +234,8 @@ def test_a_measure_that_does_not_compress_is_its_own_rule(measure):
     # H of AR(1) at rho = 0: eigh of the identity, 500 atoms at 1 of
     # weight 1/500, is one node.
     pytest.param({1.0: 500}, [1.0], [1.0], id="rho-0"),
+    # Fewer atoms than the rule's n are merged too.
+    pytest.param({2.0: 2, 1.0: 1}, [2.0, 1.0], [2 / 3, 1 / 3], id="few-atoms"),
 ])
 def test_rule_of_repeated_atoms_is_the_distinct_atoms(atoms, distinct, mass):
     values = np.repeat(list(atoms), list(atoms.values()))
