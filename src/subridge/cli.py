@@ -363,6 +363,8 @@ def cmd_tune(args) -> int:
     started = time.perf_counter()
     if not 0 < args.holdout < 1:
         raise ValueError("holdout must lie in (0, 1)")
+    if args.seed < 0:
+        raise ValueError("seed must be nonnegative")
     X, y, _ = _load_csv_dataset(args.data, args.target)
     n = len(y)
     rng = np.random.default_rng(args.seed)

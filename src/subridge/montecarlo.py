@@ -46,6 +46,13 @@ class SimConfig:
             raise ValueError("M_list values must be at least 1")
         if not all(0.0 <= lam < math.inf for lam in self.lambda_grid):
             raise ValueError("lambda_grid values must be finite and nonnegative")
+        for key in ("k_grid", "lambda_grid", "M_list"):
+            # A repeat would write two fits under one (rep, k, lambda, M)
+            # key; 0.0 and -0.0 are one penalty.
+            if len(set(getattr(self, key))) < len(getattr(self, key)):
+                raise ValueError(f"{key} values must be distinct")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
         if not 0 < self.phi < math.inf:
             raise ValueError("phi must be positive and finite")
         if self.p < 5:

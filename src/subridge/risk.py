@@ -13,9 +13,10 @@ equivalence contour, and one-dimensional optimizers over the penalty and the
 subsample aspect ratio. The scalar limits share one prologue, under which
 every limit of the null predictor (lam = inf or phis = inf) is its risk and
 every other cell is solved once per process (the last SOLVE_MEMO_SIZE cells
-are kept), and one GCV formula serves every M, inf included. The risk
-surface, the optimizers and the equivalence segment share one evaluator,
-`_risk_cells`, which keeps nothing.
+are kept). One closed form in 1/M gives the union training error, and one
+GCV formula divides it, for every M, inf included. The risk surface, the
+optimizers and the equivalence segment share one evaluator, `_risk_cells`,
+which keeps nothing.
 """
 
 from __future__ import annotations
@@ -154,8 +155,9 @@ def _solve_cell(lam, phi, phis, model: ModelSpec, M) -> _Solved | None:
 
 def _bias_variance(phi, phis, M, a_hat, c_tilde, model: ModelSpec):
     """Bias and variance of the M-member ensemble, elementwise over floats or
-    arrays. The caller checks the self component (vartheta = phis) for
-    divergence; the cross component (vartheta = phi <= phis) then converges.
+    arrays: 1/M of the self component (vartheta = phis), which the caller
+    checks for divergence, and 1 - 1/M of the cross one (vartheta = phi <=
+    phis), which then converges; at M = 1 the sum has the self one's bits.
     Each reads vtilde = vartheta*A / (v^-2 - vartheta*A), A = int r^2 (1+vr)^-2 dH,
     as vartheta*Ahat / (1 - vartheta*Ahat), regular at v = +inf."""
 
@@ -164,8 +166,6 @@ def _bias_variance(phi, phis, M, a_hat, c_tilde, model: ModelSpec):
         return model.rho2 * (1.0 + vt) * c_tilde, model.sigma2 * vt
 
     b_self, v_self = component(phis)
-    if M == 1:
-        return b_self, v_self
     b_cross, v_cross = component(phi)
     w = 1.0 / M
     return w * b_self + (1.0 - w) * b_cross, w * v_self + (1.0 - w) * v_cross
@@ -231,9 +231,11 @@ def _left_out(x: float, M: float) -> float:
 
 
 def _gcv_denominator(ell: float, x: float, M: float) -> float:
-    """Squared denominator of the M-member GCV limit, u = x over the cover."""
+    """Squared denominator ((1 - u) + u ell)^2 of the M-member GCV limit, u = x
+    over the cover: two nonnegative terms, so nothing cancels as u -> 1, and
+    at ell = 0 the bits of 1 - u."""
     u = x / (1.0 - _left_out(x, M))
-    return (1.0 - u * (1.0 - ell)) ** 2
+    return ((1.0 - u) + u * ell) ** 2
 
 
 def gcv_denominator_limit(
@@ -248,49 +250,36 @@ def gcv_denominator_limit(
 
 
 def _training_error(point: _Solved, phi: float, M: float, model: ModelSpec) -> float:
-    """Limit of the M-member ensemble's training error over the union of its
-    subsamples. M = 1 (ell^2 R_1) and M = 2 (the two-member weights) have
-    closed forms. Every other M, inf included, blends them with the one- and
-    two-member risks: with x = phi/phis and q = 1 - x the union covers
-    1 - q^M of the data, of which j members train on (1 - q^j) / cover and
-    leave out (q^j - q^M) / cover. Blending t_j and R_j by those shares into
-    e_j gives 2 e_2 - e_1 + (2/M)(e_1 - e_2). The left-out share is formed
-    as written, not as 1 minus the other, so the error, ~q^2 R_inf near
-    phis = phi, keeps its digits.
-    """
+    """Limit T_M of the M-member union training error, one form in 1/M for
+    every M, inf included. With x = phi/phis, q = 1 - x and ell = lam v,
+
+        T_M (1 - q^M) = (R_1/M) (q - q^M + x ell^2)
+                        + (1 - 1/M) R_inf ((q + x ell)^2 - q^M).
+
+    That is the share blend 2 e_2 - e_1 + (2/M)(e_1 - e_2) of the one- and
+    two-member errors on the cover 1 - q^M, with R_2 = (R_1 + R_inf)/2,
+    collapsed by xq + q^2 = q and q^2 + 2xq ell + x^2 ell^2 = (q + x ell)^2.
+    It is ell^2 R_1 at M = 1 (times x/(1 - q), the cover's rounding), the
+    two-member weights at M = 2 and R_inf (q + x ell)^2 at M = inf, where
+    the GCV denominator is (q + x ell)^2. Near phis = phi nothing cancels."""
     ell = point.ell
-    r1 = _decomposition(point, phi, 1, model).risk
-    t1 = ell * ell * r1
-    if M == 1:
-        return t1
     x = phi / point.phis
-    rinf = _decomposition(point, phi, math.inf, model).risk
-    d = 2.0 - x
-    on_r1 = 0.5 * ((1.0 - x) + ell * ell) / d  # the two-member weights
-    on_rinf = 0.5 * (2.0 * ell * (1.0 - x) + ell * ell * x) / d
-    t2 = on_r1 * r1 + on_rinf * rinf
-    if M == 2:
-        return t2
-    r2 = _decomposition(point, phi, 2, model).risk
     q = 1.0 - x
     q_M = _left_out(x, M)
-    cover = 1.0 - q_M
-    e1, e2 = (((1.0 - q ** j) * t + (q ** j - q_M) * r) / cover
-              for j, t, r in ((1, t1, r1), (2, t2, r2)))
-    return 2.0 * e2 - e1 + (2.0 / M) * (e1 - e2)
+    r1 = _decomposition(point, phi, 1, model).risk
+    rinf = _decomposition(point, phi, math.inf, model).risk
+    w = 1.0 / M
+    return (w * r1 * (q - q_M + x * ell * ell)
+            + (1.0 - w) * rinf * ((q + x * ell) ** 2 - q_M)) / (1.0 - q_M)
 
 
 def training_error_limit(
     lam: float, phi: float, phis: float, model: ModelSpec, M: float
 ) -> float:
-    """Limit of the ensemble training error over the union of subsamples,
-    for a positive integer M or M = inf.
-
-    M = 1 and M = 2 have closed forms; every other M blends them with the
-    one- and two-member risks over the share of the union each covers. The
-    residuals of distinct members are correlated through subsample overlap,
-    which couples every M >= 2 to both R_1 and R_inf.
-    """
+    """Limit of the ensemble training error over the union of subsamples, for
+    a positive integer M or M = inf: one closed form in 1/M (`_training_error`).
+    The residuals of distinct members are correlated through subsample
+    overlap, which couples every M >= 2 to both R_1 and R_inf."""
     point = _solve_cell(lam, phi, phis, model, M)
     if point is None:
         return model.null_risk
@@ -309,7 +298,7 @@ def gcv_limit_finite_M(
     """Limit of the GCV statistic computed from an M-member ensemble.
 
     One formula serves every M, inf included: the union training error of
-    :func:`training_error_limit` over (1 - u (1 - ell))^2, with u = phi/phis
+    :func:`training_error_limit` over ((1 - u) + u ell)^2, with u = phi/phis
     over the union's cover 1 - (1 - phi/phis)^M, which is 1 at M = inf. The
     limit equals the M-member risk when phis = phi (also at lam = 0, where
     both terms vanish), and converges to the full-ensemble risk as M grows,

@@ -307,6 +307,11 @@ SIM_CONFIG_ERRORS = [
     ("p = abc", "p: invalid literal for int() with base 10: 'abc'"),
     ("reps = 2.5", "reps: invalid literal for int() with base 10: '2.5'"),
     ("k_grid = 10,x", "k_grid: invalid literal for int() with base 10: 'x'"),
+    # A repeated grid value would write two fits under one tidy-row key.
+    ("k_grid = 10,10", "k_grid values must be distinct"),
+    ("lambda_grid = 0,-0", "lambda_grid values must be distinct"),
+    ("M_list = 3,3", "M_list values must be distinct"),
+    ("master_seed = -1", "master_seed must be nonnegative"),
 ]
 
 
@@ -574,7 +579,8 @@ class TestTune:
     @pytest.mark.parametrize("flags, message", [
         (["--M", 0], "M must be at least 1"),
         (["--lambda", "nan"], "lam must be finite and nonnegative"),
-    ], ids=["M-0", "lambda-nan"])
+        (["--seed", -1], "seed must be nonnegative"),
+    ], ids=["M-0", "lambda-nan", "seed-negative"])
     def test_bad_number_rejected_before_any_worker(self, tmp_path, capsys,
                                                    monkeypatch, flags, message):
         def no_workers(fn, items, workers=None):

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from subridge.spectra import ModelSpec, SpectralMeasure
 
 ISO = isotropic_model(1.0, 1.0)
 AR1, _, _ = ar1_model(0.5, p_ref=200)
+EPS = np.finfo(float).eps
 
 
 def random_tuples(rng, count, lam_zero_prob=0.3, near_diagonal=False):
@@ -136,14 +138,17 @@ def test_gcv_limit_equals_full_risk_near_the_diagonal():
                 lam, phi, phis)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: at lam = 0, phi > 1 "
-                   "the M = inf union error cancels terms of order 1 - phi/phis")
 def test_gcv_limit_equals_full_risk_at_one_part_in_a_million():
-    # The bound of the test above, at phis/phi - 1 = 1e-6, below its draw:
-    # off by 2.2e-10 relative until the near-diagonal loss is mended.
-    phis = 2.0 * (1.0 + 1e-6)
-    risk = asymptotic_risk(0.0, 2.0, phis, ISO).risk
-    assert abs(gcv_limit(0.0, 2.0, phis, ISO) - risk) <= 1e-11 * risk
+    # Below the draw of the test above, down to phis/phi - 1 = 1e-9. At
+    # M = inf the numerator is R_inf (q + x ell)^2 and the denominator
+    # (q + x ell)^2, the same bits, so the limit is R_inf up to the two
+    # roundings of the product and the quotient, eps/2 relative each.
+    for lam in (0.0, 1e-8):
+        for gap in (1e-6, 1e-9):
+            phis = 2.0 * (1.0 + gap)
+            risk = asymptotic_risk(lam, 2.0, phis, ISO).risk
+            assert abs(gcv_limit(lam, 2.0, phis, ISO) - risk) <= EPS * 2 * risk, (
+                lam, gap)
 
 
 @pytest.mark.parametrize("model", [ISO, AR1], ids=["isotropic", "ar1"])
@@ -464,6 +469,62 @@ def test_training_error_is_the_finite_M_gcv_numerator(M):
         denominator = (1.0 - u * (1.0 - ell)) ** 2
         assert training_error_limit(lam, phi, phis, AR1, M) == pytest.approx(
             gcv_limit_finite_M(lam, phi, phis, AR1, M) * denominator, rel=1e-12)
+
+
+def _share_blend(x, ell, r1, rinf, M):
+    """The union training error as it was derived, in 40-digit decimal on
+    the exact values of float inputs. With q = 1 - x the union covers
+    1 - q^M of the data; e_j weighs the j-member training error t_j (t_1 =
+    ell^2 R_1, t_2 the two-member weights) by the share j members train on,
+    (1 - q^j) / cover, and the j-member risk R_j (R_2 = (R_1 + R_inf)/2) by
+    the share they leave out, (q^j - q^M) / cover. Then T_M = 2 e_2 - e_1 +
+    (2/M)(e_1 - e_2)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x, ell, r1, rinf = map(decimal.Decimal, (x, ell, r1, rinf))
+        q = 1 - x
+        q_M = 0 if math.isinf(M) else q ** M
+        t1 = ell * ell * r1
+        t2 = ((q + ell * ell) * r1
+              + (2 * ell * q + ell * ell * x) * rinf) / (2 * (2 - x))
+        e1, e2 = (((1 - q ** j) * t + (q ** j - q_M) * r) / (1 - q_M)
+                  for j, t, r in ((1, t1, r1), (2, t2, (r1 + rinf) / 2)))
+        two_over_M = 0 if math.isinf(M) else decimal.Decimal(2) / M
+        return 2 * e2 - e1 + two_over_M * (e1 - e2)
+
+
+def test_training_error_is_the_share_blend_it_replaces():
+    # The closed form against the share blend on the same float inputs
+    # (x, ell, R_1, R_inf). Bound, first order in u = eps/2, with every term
+    # of T_M (1 - q^M) nonnegative:
+    # - fl(1 - x) errs by u relative in q, and |q d log T/dq| <= 3/x, since
+    #   |q N'| <= (2/x) N for the numerator N and M q^M <= (q/x)(1 - q^M):
+    #   3u/x;
+    # - pow errs by under 1 ulp (2u) in q^M and (q + x ell)^2, and its
+    #   operand q + x ell by 2u, each worth at most 1/x of T: 5u/x + 6u/x;
+    # - the other 9 roundings fall on nonnegative terms or on differences
+    #   that keep their operands' relative error: 9u.
+    # So |got - want| <= (9 + 14/x) u <= 8 eps (1 + 1/x) T. At M = inf,
+    # T = R_inf (q + x ell)^2 rounds 7 times: 4 eps. Where the blend is 0
+    # (ell = 0 at M = 1) the bound asks for 0.0.
+    rng = np.random.default_rng(17)
+    tuples = (random_tuples(rng, 12) + random_tuples(rng, 6, near_diagonal=True)
+              + [(0.1, 0.5, 5e3), (0.0, 0.5, 5e3), (0.0, 2.0, 2.0), (0.0, 0.5, 0.7)])
+    zeros = 0
+    for model in (ISO, AR1):
+        for lam, phi, phis in tuples:
+            x = phi / phis
+            ell = solve_v(lam, phis, model.H).ell
+            r1 = asymptotic_risk(lam, phi, phis, model, M=1).risk
+            rinf = asymptotic_risk(lam, phi, phis, model).risk
+            for M in (1, 2, 3, 5, 50, math.inf):
+                want = _share_blend(x, ell, r1, rinf, M)
+                got = training_error_limit(lam, phi, phis, model, M)
+                bound = 4 * EPS if math.isinf(M) else 8 * EPS * (1 + 1 / x)
+                assert abs(decimal.Decimal(got) - want) <= decimal.Decimal(
+                    bound) * want, (lam, phi, phis, M, got, want)
+                zeros += want == 0
+    assert zeros > 0
 
 
 def test_training_error_approaches_full_limit_as_one_over_M():
